@@ -27,7 +27,6 @@ from .pipeline import (
     SEED_WORLD,
     _a_tag,
     _build_model,
-    is_up_to_date,
     run_pipeline,
 )
 from .regression import fit_ridge, pseudo_label

@@ -121,7 +121,7 @@ class RunConfig:
             if min(v["world.sigma_diag"]) <= 0 or max(v["world.sigma_diag"]) > 1:
                 raise ConfigError("world.sigma_diag entries must lie in (0, 1]")
         for key in ("data.n1", "data.n2", "sample.n", "metrics.n_ref",
-                    "metrics.histogram_bins", "score.batch_size", "score.epochs"):
+                    "metrics.histogram_bins"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
         if v["world.offsupport_sign"] not in ("penalty", "bonus"):
@@ -137,14 +137,22 @@ class RunConfig:
                 raise ConfigError("reward.nu must be nonnegative")
         if v["score.variant"] not in ("covering", "mlp"):
             raise ConfigError("score.variant must be covering or mlp")
-        if not v["sweep.a"]:
-            raise ConfigError("sweep.a must be nonempty")
-        if not v["sweep.seeds"]:
-            raise ConfigError("sweep.seeds must be nonempty")
+        hidden = v["score.hidden"]
+        if not 1 <= len(hidden) <= 3 or min(hidden) < 1:
+            raise ConfigError("score.hidden must be 1 to 3 positive widths")
+        # Values that collide would overwrite each other's artifacts.
+        for key, conv in (("sweep.a", float), ("sweep.seeds", int)):
+            if not v[key]:
+                raise ConfigError(f"{key} must be nonempty")
+            if len({conv(x) for x in v[key]}) != len(v[key]):
+                raise ConfigError(f"{key} has duplicate values")
         try:
             DiffusionSchedule(v["schedule.T"], v["schedule.t0"], v["schedule.eta"])
+            TrainConfig(batch_size=v["score.batch_size"], epochs=v["score.epochs"],
+                        learning_rate=v["score.learning_rate"],
+                        lr_decay=v["score.lr_decay"])
         except Exception as exc:
-            raise ConfigError(f"invalid schedule: {exc}") from exc
+            raise ConfigError(f"invalid schedule or training settings: {exc}") from exc
 
     def __getitem__(self, key: str):
         return self.values[key]

@@ -14,7 +14,6 @@ byte-identical reruns are possible; manifests record a sha256 per file.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ from .errors import ValidationError
 MATRIX_MAGIC = b"RCDS"
 TENSOR_MAGIC = b"RCTB"
 FORMAT_VERSION = 1
+_CSV_BLOCK_ROWS = 32
 
 
 def _atomic_write(path, payload: bytes) -> None:
@@ -61,19 +61,24 @@ def read_matrix(path) -> np.ndarray:
 
 
 def export_csv(path, X: np.ndarray, y: np.ndarray | None = None) -> None:
-    """Human-readable companion export: x0..x{D-1}[, y]."""
+    """Human-readable companion export: x0..x{D-1}[, y].
+
+    Values are ``repr`` of the float64 entries and lines end in ``\\r\\n``,
+    the layout of a default ``csv.writer``.  Rows are formatted and written
+    in small blocks: the Python floats of a whole matrix would raise the
+    process's peak memory, and allocator pools keep part of it afterwards.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    cols = [X]
     header = [f"x{i}" for i in range(X.shape[1])]
     if y is not None:
         header.append("y")
+        cols.append(np.asarray(y, dtype=float).reshape(-1, 1))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(X.shape[0]):
-            row = [repr(float(v)) for v in X[i]]
-            if y is not None:
-                row.append(repr(float(y[i])))
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, X.shape[0], _CSV_BLOCK_ROWS):
+            block = np.hstack([c[lo: lo + _CSV_BLOCK_ROWS] for c in cols]).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ a pure function of the resolved configuration.
 
 Artifacts under the output directory::
 
-    manifest.json                resolved config, file hashes, timings
+    manifest.json                resolved config, score source, file hashes, timings
     metrics.csv                  one row per cell (stable schema)
     seed_<s>/world.rctb          ground truth tensors
     seed_<s>/unlabeled.bin       unlabeled features (matrix container)
@@ -69,8 +69,8 @@ def _build_model(cfg: RunConfig, seed: int):
     return MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=derive(seed, 13))
 
 
-def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
-    """True when a complete, hash-clean run with this config already exists."""
+def is_up_to_date(cfg: RunConfig, out_dir, score_source: str = "model") -> bool:
+    """True when a complete, hash-clean run of this config and score source exists."""
     manifest_path = Path(out_dir) / "manifest.json"
     if not manifest_path.exists():
         return False
@@ -81,6 +81,7 @@ def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
+        and manifest.get("score_source") == score_source
         and not io.verify_manifest(out_dir)
     )
 
@@ -94,11 +95,13 @@ def run_pipeline(cfg: RunConfig, out_dir=None, *, force: bool = False,
     smoke runs and sampler studies.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg["out.dir"])
-    if not force and is_up_to_date(cfg, out):
+    score_source = "oracle" if use_oracle_score else "model"
+    if not force and is_up_to_date(cfg, out, score_source):
         log(f"up to date: {out}")
         return out
     out.mkdir(parents=True, exist_ok=True)
     manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
+    manifest.data["score_source"] = score_source
     rows = []
     try:
         for seed in cfg["sweep.seeds"]:

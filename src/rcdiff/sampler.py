@@ -124,6 +124,4 @@ def run_backward(
 def _seed_repr(seed):
     if isinstance(seed, np.random.SeedSequence):
         return list(map(int, np.atleast_1d(seed.entropy)))
-    if isinstance(seed, np.random.Generator):
-        return "generator"
     return int(seed)

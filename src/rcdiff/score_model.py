@@ -11,8 +11,11 @@ parameterizations:
   latent precision and reward direction,
   ``psi(u, y, t) = alpha(t) B_t (alpha(t) u + (h(t)/nu^2) y b)`` where
   ``B_t = (alpha^2 I + (h/nu^2) b b^T + h S)^{-1}`` and ``S`` is a symmetric
-  matrix stored as its lower triangle (eigenvalues floored at 1e-6 inside
-  the solve);
+  matrix stored as its lower triangle.  ``B_t`` is never formed: one ``eigh``
+  of ``S`` per call (eigenvalues floored at ``SPD_FLOOR``) makes
+  ``alpha^2 I + h S`` diagonal, and the ``b b^T`` term is a rank-1
+  Sherman-Morrison correction, so applying ``B_t`` at a shared or a
+  per-row time costs O(n d) after the eigenbasis is folded into ``V``;
 * ``mlp``: a fully-connected rectified-linear network on the features
   ``(u, y, t, alpha(t), h(t))``.
 
@@ -90,62 +93,41 @@ class CoveringScore:
         W = self.params["sigma_inv_tril"]
         return np.tril(W) + np.tril(W, -1).T
 
-    def _sigma_inv_floored(self) -> np.ndarray:
-        S = self.sigma_inv()
-        evals, evecs = np.linalg.eigh(S)
-        if evals[0] >= SPD_FLOOR:
-            return S
-        return (evecs * np.clip(evals, SPD_FLOOR, None)) @ evecs.T
+    def _head(self, alpha, h):
+        """Eigenbasis of ``S`` and the factors of ``B_t`` in it.
 
-    def _b_single(self, alpha: float, h: float) -> np.ndarray:
-        b = self.params["beta_tilde"]
-        M = (
-            alpha**2 * np.eye(self.d)
-            + (h / self.nu**2) * np.outer(b, b)
-            + h * self._sigma_inv_floored()
-        )
-        return np.linalg.inv(M)
-
-    def _b_stack(self, alpha: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Per-row head matrices ``B_t``; shape (n, d, d)."""
-        b = self.params["beta_tilde"]
-        S = self._sigma_inv_floored()
-        eye = np.eye(self.d)
+        With ``S = Q diag(lam) Q^T`` (eigenvalues floored at ``SPD_FLOOR``)
+        and ``bq = Q^T b``, ``Q^T B_t^{-1} Q = diag(alpha^2 + h lam) + c bq bq^T``
+        where ``c = h/nu^2``.  Sherman-Morrison turns that into
+        ``Q^T B_t Q v = dinv v - k (g.v) g`` with ``dinv = 1/(alpha^2 + h lam)``,
+        ``g = dinv bq`` and ``k = c/(1 + c bq.g)``, which ``_b_apply`` applies
+        in O(n d) with no inverse.  ``alpha`` and ``h`` are scalars for a
+        shared time or (n,) per row; ``dinv`` and ``g`` are (d, 1) or (d, n).
+        Returns ``Q``, ``VQ = V Q``, ``bq`` and ``(dinv, g, k)``.
+        """
+        # eigh reads only the lower triangle, which is the stored parameter.
+        lam, Q = np.linalg.eigh(self.params["sigma_inv_tril"])
+        bq = self.params["beta_tilde"] @ Q
         c = h / self.nu**2
-        M = (
-            (alpha**2)[:, None, None] * eye
-            + c[:, None, None] * np.outer(b, b)
-            + h[:, None, None] * S
-        )
-        return np.linalg.inv(M)
+        dinv = 1.0 / (alpha * alpha + h * np.maximum(lam, SPD_FLOOR)[:, None])
+        g = dinv * bq[:, None]
+        return Q, self.params["V"] @ Q, bq, (dinv, g, c / (1.0 + c * (bq @ g)))
 
     # -- forward ----------------------------------------------------------
 
-    def psi(self, U: np.ndarray, y: np.ndarray, t) -> np.ndarray:
-        # Shared time means one head matrix for the whole batch (the hot
-        # path during generation); per-row times use the batched solve.
-        if np.ndim(t) == 0:
-            alpha, h = float(alpha_of(t)), float(h_of(t))
-            B = self._b_single(alpha, h)
-            w = alpha * U + np.outer((h / self.nu**2) * y, self.params["beta_tilde"])
-            return alpha * (w @ B)
-        alpha, h = alpha_of(t), h_of(t)
-        B = self._b_stack(alpha, h)
-        w = alpha[:, None] * U + ((h / self.nu**2) * y)[:, None] * self.params["beta_tilde"]
-        return alpha[:, None] * np.einsum("nij,nj->ni", B, w)
-
     def __call__(self, x, y, t):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         X = np.atleast_2d(x)
-        yv = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (X.shape[0],))
-        V = self.params["V"]
-        if np.ndim(t) == 0:
-            out = (self.psi(X @ V, yv, float(t)) @ V.T - X) / float(h_of(t))
-        else:
-            tv = np.asarray(t, dtype=float)
-            out = (self.psi(X @ V, yv, tv) @ V.T - X) / h_of(tv)[:, None]
-        return out[0] if single else out
+        alpha, h = alpha_of(t), h_of(t)
+        _, VQ, bq, B = self._head(alpha, h)
+        # Rows of X are columns here, so a shared or a per-row time broadcasts
+        # the same way along the last axis.
+        w = alpha * (VQ.T @ X.T) + bq[:, None] * ((h / self.nu**2) * np.ravel(y))
+        out = (alpha * _b_apply(B, w)).T @ VQ.T
+        # In place: a fresh (n, D) temporary costs more than the arithmetic.
+        out -= X
+        out /= h[..., None]
+        return out[0] if x.ndim == 1 else out
 
     # -- pathwise loss and exact gradients ---------------------------------
 
@@ -158,7 +140,7 @@ class CoveringScore:
         t = np.asarray(t, dtype=float)
         eps = np.asarray(eps, dtype=float)
         n = X.shape[0]
-        V, b = self.params["V"], self.params["beta_tilde"]
+        b = self.params["beta_tilde"]
         alpha, h = alpha_of(t), h_of(t)
         c = h / self.nu**2
         sqh = np.sqrt(h)
@@ -166,17 +148,16 @@ class CoveringScore:
         Xp = alpha[:, None] * X + sqh[:, None] * eps
         r = -eps / sqh[:, None]
 
-        B = self._b_stack(alpha, h)
-        U = Xp @ V
-        w = alpha[:, None] * U + (c * y)[:, None] * b
-        m = np.einsum("nij,nj->ni", B, w)
-        g = alpha[:, None] * m
-        s = (g @ V.T - Xp) / h[:, None]
+        # m = B w and p = B q, applied in the eigenbasis and rotated back.
+        Q, VQ, bq, B = self._head(alpha, h)
+        mq = _b_apply(B, alpha * (VQ.T @ Xp.T) + bq[:, None] * (c * y))
+        s = ((alpha * mq).T @ VQ.T - Xp) / h[:, None]
         e = s - r
-        loss = float(np.mean(np.sum(e * e, axis=1)))
+        loss = float(np.vdot(e, e)) / n
 
-        q = (2.0 / h)[:, None] * (e @ V)
-        p = np.einsum("nij,nj->ni", B, q)
+        m = (Q @ mq).T
+        g = alpha[:, None] * m
+        p = (Q @ _b_apply(B, (2.0 / h) * (VQ.T @ e.T))).T
 
         grad_V = ((2.0 / h)[:, None] * e).T @ g + ((alpha**2)[:, None] * Xp).T @ p
         coef = alpha * c
@@ -222,6 +203,12 @@ class CoveringScore:
     @property
     def score_id(self) -> str:
         return "model:" + _digest(*self.to_blocks())
+
+
+def _b_apply(factors, W):
+    """``Q^T B_t Q`` times the columns of ``W`` (d, n); see ``CoveringScore._head``."""
+    dinv, g, k = factors
+    return dinv * W - (k * np.einsum("ij,ij->j", W, g)) * g
 
 
 class MlpScore:

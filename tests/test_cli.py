@@ -6,6 +6,8 @@ import pytest
 
 from rcdiff import io
 from rcdiff.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from rcdiff.config import load_config
+from rcdiff.pipeline import run_pipeline
 
 SMOKE = """
 world.D = 8
@@ -76,6 +78,30 @@ class TestPipelineCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("world.unknown = 1\n")
         assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", [
+        "score.hidden =", "score.hidden = 8, 8, 8, 8", "score.lr_decay = 1.5",
+        "sweep.a = 0, 1, 1.0", "sweep.seeds = 2, 2",
+    ])
+    def test_dry_run_rejects_config_that_fails_later(self, smoke_cfg, line):
+        cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text().replace("sweep.", "# sweep.") + line + "\n")
+        assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_oracle_run_is_not_up_to_date_for_trained_run(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        run_cfg = load_config(cfg)
+        run_pipeline(run_cfg, out, use_oracle_score=True)
+        assert io.read_json(out / "manifest.json")["score_source"] == "oracle"
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert "up to date" not in capsys.readouterr().out
+        assert io.read_json(out / "manifest.json")["score_source"] == "model"
+        side = json.loads((out / "seed_0" / "samples_a2.json").read_text())
+        assert side["score_id"].startswith("model:")
+        # Each source is up to date with respect to itself only.
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert "up to date" in capsys.readouterr().out
 
     def test_failed_stage_leaves_incomplete_manifest(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg

@@ -45,6 +45,23 @@ class TestMatrixContainer:
         np.testing.assert_array_equal(parsed[:, :3], X)
         np.testing.assert_array_equal(parsed[:, 3], y)
 
+    def test_csv_export_matches_csv_writer_bytes(self, tmp_path):
+        import csv
+
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12, (7, 4))
+        y = rng.standard_normal(7)
+        for yy in (y, None):
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow([f"x{i}" for i in range(4)] + ([] if yy is None else ["y"]))
+                for i in range(7):
+                    w.writerow([repr(float(v)) for v in X[i]]
+                               + ([] if yy is None else [repr(float(yy[i]))]))
+            io.export_csv(tmp_path / "d.csv", X, yy)
+            assert (tmp_path / "d.csv").read_bytes() == ref.read_bytes()
+
 
 class TestTensorBlocks:
     def test_roundtrip_with_meta(self, tmp_path):
@@ -173,6 +190,24 @@ class TestConfig:
             RunConfig(values={"schedule.eta": 0.5})  # eta > t0
         with pytest.raises(ConfigError):
             RunConfig(values={"score.variant": "unet"})
+
+    @pytest.mark.parametrize("hidden", [[], [8, 8, 8, 8], [16, 0], [-4]])
+    def test_bad_hidden_widths_rejected(self, hidden):
+        with pytest.raises(ConfigError, match="score.hidden"):
+            RunConfig(values={"score.hidden": hidden})
+
+    @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
+    def test_lr_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ConfigError, match="lr_decay"):
+            RunConfig(values={"score.lr_decay": decay})
+
+    def test_duplicate_targets_rejected(self):
+        with pytest.raises(ConfigError, match="sweep.a"):
+            RunConfig(values=parse_config_text("sweep.a = 0, 1, 1.0\n"))
+
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="sweep.seeds"):
+            RunConfig(values=parse_config_text("sweep.seeds = 3, 4, 3\n"))
 
     def test_sigma_diag(self):
         cfg = RunConfig(values={"world.d": 2, "world.D": 4,

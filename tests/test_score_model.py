@@ -14,6 +14,7 @@ from rcdiff.oracle import (
 )
 from rcdiff.regression import default_nu, fit_ridge, pseudo_label
 from rcdiff.score_model import (
+    SPD_FLOOR,
     CoveringScore,
     MlpScore,
     TrainConfig,
@@ -68,6 +69,54 @@ class TestShapeInvariant:
             batched = model(X, y, t)
             rows = np.stack([model(X[i], y[i], float(t[i])) for i in range(5)])
             np.testing.assert_allclose(batched, rows, atol=1e-12)
+
+
+class TestCoveringHead:
+    """The eigenbasis B_t path against plain-inverse references."""
+
+    def _batch(self, D, n=40, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, D)), rng.standard_normal(n), rng.uniform(0.01, 6.0, n)
+
+    def test_oracle_parameters_give_the_analytic_score(self):
+        w = make_world(D=7, d=3, sigma=np.diag([1.0, 0.5, 0.2]), seed=3)
+        orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.4)
+        model = CoveringScore(7, 3, nu=0.4, seed=0, params={
+            "V": w.A, "beta_tilde": w.beta_star,
+            "sigma_inv_tril": np.tril(orc.sigma_inv),
+        })
+        X, y, t = self._batch(7)
+        for tt in (0.01, 0.7, 6.0, t):
+            ref = analytic_score(orc, X, y, tt)
+            np.testing.assert_allclose(model(X, y, tt), ref, rtol=1e-10,
+                                       atol=1e-10 * np.abs(ref).max())
+
+    def test_floored_precision_matches_plain_inverse(self):
+        D, d, nu = 6, 3, 0.5
+        rng = np.random.default_rng(5)
+        R = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        evals = np.array([-0.3, 1e-9, 0.8])
+        S = (R * evals) @ R.T
+        S_floored = (R * np.maximum(evals, SPD_FLOOR)) @ R.T
+        V = rng.standard_normal((D, d))
+        b = rng.standard_normal(d)
+        model = CoveringScore(D, d, nu, seed=0, params={
+            "V": V, "beta_tilde": b, "sigma_inv_tril": np.tril(S)})
+        X, y, t = self._batch(D, seed=6)
+
+        def reference(i, tt):
+            a, h = float(alpha_of(tt)), float(h_of(tt))
+            B = np.linalg.inv(a * a * np.eye(d) + (h / nu**2) * np.outer(b, b)
+                              + h * S_floored)
+            return (a * V @ B @ (a * V.T @ X[i] + (h / nu**2) * y[i] * b) - X[i]) / h
+
+        for tt in (0.05, 2.0):
+            ref = np.stack([reference(i, tt) for i in range(len(y))])
+            np.testing.assert_allclose(model(X, y, tt), ref, rtol=1e-10,
+                                       atol=1e-10 * np.abs(ref).max())
+        ref = np.stack([reference(i, t[i]) for i in range(len(y))])
+        np.testing.assert_allclose(model(X, y, t), ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
 
 
 class TestGradients:
