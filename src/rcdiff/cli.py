@@ -18,23 +18,8 @@ from . import io
 from .config import RunConfig, describe_schema, load_config
 from .errors import ConfigError, RcdiffError
 from .figures import emit_figures
-from .oracle import AnalyticScore, GaussianDesignOracle
-from .pipeline import (
-    PipelineStageError,
-    SEED_DATA,
-    SEED_PSEUDO,
-    SEED_SAMPLE,
-    SEED_WORLD,
-    _a_tag,
-    _build_model,
-    run_pipeline,
-)
-from .regression import fit_ridge, pseudo_label
-from .rng import derive
-from .sampler import run_backward
-from .score_model import train
+from .pipeline import PipelineStageError, SeedStages, run_pipeline
 from .validate import CHECKS, run_checks
-from .world import LabeledDataset, UnlabeledDataset, generate_datasets, make_world
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,16 +33,6 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
     if root and not out.is_absolute():
         out = Path(root) / out
     return out
-
-
-def _seed_dir(out: Path, seed: int) -> Path:
-    d = out / f"seed_{seed}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _default_seed(cfg: RunConfig, flag) -> int:
-    return int(flag) if flag is not None else cfg["sweep.seeds"][0]
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
@@ -95,93 +70,60 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
+def _seed_stages(cfg: RunConfig, args) -> SeedStages:
+    """The stages of the ``--seed`` cell, writing under ``<out>/seed_<s>``.
+
+    Stage timings and training records go to a manifest that is not
+    written; ``train-score`` copies its loss traces to ``train_trace.json``.
+    """
+    seed = int(args.seed) if args.seed is not None else cfg["sweep.seeds"][0]
+    out = _resolve_out(cfg, args.out)
+    return SeedStages(cfg, seed, out / f"seed_{seed}",
+                      io.ManifestBuilder(cfg.digest(), cfg.values))
+
+
 def cmd_gen_data(cfg: RunConfig, args) -> int:
-    seed = _default_seed(cfg, args.seed)
-    out = _seed_dir(_resolve_out(cfg, args.out), seed)
-    world = make_world(
-        cfg["world.D"], cfg["world.d"], cfg.sigma,
-        cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
-        seed=derive(seed, SEED_WORLD),
-    )
-    unlabeled, labeled = generate_datasets(
-        world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
-        seed=derive(seed, SEED_DATA),
-    )
-    io.save_world(out / "world.rctb", world)
-    io.write_matrix(out / "unlabeled.bin", unlabeled.X)
-    io.write_matrix(out / "labeled.bin", labeled.X)
-    io.write_matrix(out / "labeled_y.bin", labeled.y.reshape(-1, 1))
-    io.export_csv(out / "labeled.csv", labeled.X, labeled.y)
-    io.write_json(out / "data_manifest.json", {
-        "seed": seed, "n1": unlabeled.n, "n2": labeled.n,
-        "noise_sigma": cfg["data.noise_sigma"],
-    })
-    print(f"wrote datasets for seed {seed} to {out}")
+    st = _seed_stages(cfg, args)
+    st.data()
+    print(f"wrote datasets for seed {st.seed} to {st.sdir}")
     return EXIT_OK
 
 
-def _load_seed_data(out: Path, cfg: RunConfig):
-    labeled = LabeledDataset(
-        X=io.read_matrix(out / "labeled.bin"),
-        y=io.read_matrix(out / "labeled_y.bin").ravel(),
-        noise_sigma=cfg["data.noise_sigma"],
-    )
-    unlabeled = UnlabeledDataset(X=io.read_matrix(out / "unlabeled.bin"))
-    return unlabeled, labeled
-
-
 def cmd_train_reward(cfg: RunConfig, args) -> int:
-    seed = _default_seed(cfg, args.seed)
-    out = _seed_dir(_resolve_out(cfg, args.out), seed)
-    _, labeled = _load_seed_data(out, cfg)
-    est = fit_ridge(labeled, cfg["reward.lambda"])
-    io.save_ridge(out / "ridge.rctb", est)
-    print(f"wrote ridge estimate (lambda={cfg['reward.lambda']:g}) to {out}/ridge.rctb")
+    st = _seed_stages(cfg, args)
+    st.ridge(st.read_labeled())
+    print(f"wrote ridge estimate (lambda={cfg['reward.lambda']:g}) to {st.sdir}/ridge.rctb")
     return EXIT_OK
 
 
 def cmd_train_score(cfg: RunConfig, args) -> int:
-    seed = _default_seed(cfg, args.seed)
-    out = _seed_dir(_resolve_out(cfg, args.out), seed)
-    unlabeled, _ = _load_seed_data(out, cfg)
-    est = io.load_ridge(out / "ridge.rctb")
-    curated = pseudo_label(unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO))
-    io.write_matrix(out / "pseudo_labels.bin", curated.y_hat.reshape(-1, 1))
-    model = _build_model(cfg, seed)
-    result = train(model, curated, cfg.train_config(seed), cfg.schedule())
-    io.save_model(out / "score_model.rctb", model, cfg.schedule())
-    io.write_json(out / "train_trace.json", {
-        "loss_trace": result.loss_trace, "val_trace": result.val_trace,
-    })
+    st = _seed_stages(cfg, args)
+    curated = st.pseudo(st.read_unlabeled(), io.load_ridge(st.sdir / "ridge.rctb"))
+    st.score(curated=curated)
+    trace = st.manifest.data["training"][str(st.seed)]
+    io.write_json(st.sdir / "train_trace.json", trace)
     print(
         f"trained {cfg['score.variant']} model "
-        f"(val {result.val_trace[0]:.4f} -> {result.val_trace[-1]:.4f}); "
-        f"wrote {out}/score_model.rctb"
+        f"(val {trace['val_trace'][0]:.4f} -> {trace['val_trace'][-1]:.4f}); "
+        f"wrote {st.sdir}/score_model.rctb"
     )
     return EXIT_OK
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
-    seed = _default_seed(cfg, args.seed)
-    out = _seed_dir(_resolve_out(cfg, args.out), seed)
     a = float(args.a) if args.a is not None else cfg["sweep.a"][0]
+    if a not in cfg["sweep.a"]:
+        grid = ", ".join(f"{v:g}" for v in cfg["sweep.a"])
+        raise ConfigError(f"--a {a:g} is not one of sweep.a ({grid}); "
+                          "a target's noise stream is its position in sweep.a")
+    st = _seed_stages(cfg, args)
     if args.use_oracle:
-        world = io.load_world(out / "world.rctb")
-        est = io.load_ridge(out / "ridge.rctb")
-        score = AnalyticScore(GaussianDesignOracle(
-            world=world, beta_hat=est.beta_hat(world), nu=cfg.nu,
-        ))
-        dim = world.D
+        world = io.load_world(st.sdir / "world.rctb")
+        score = st.score(oracle=st.oracle(world, io.load_ridge(st.sdir / "ridge.rctb")))
     else:
-        score = io.load_model(out / "score_model.rctb")
-        dim = score.D
-    a_index = cfg["sweep.a"].index(a) if a in cfg["sweep.a"] else len(cfg["sweep.a"])
-    batch = run_backward(
-        score, a, cfg["sample.n"], cfg.schedule(),
-        seed=derive(seed, SEED_SAMPLE, a_index), dim=dim,
-    )
-    paths = io.save_samples(out / f"samples_a{_a_tag(a)}", batch)
-    print(f"wrote {batch.n} samples at a={a:g} to {paths[0]}")
+        score = io.load_model(st.sdir / "score_model.rctb")
+    batch = st.sample(score, a)
+    print(f"wrote {batch.n} samples at a={a:g} to {st.sdir}/samples_a{io.a_tag(a)}.bin")
     return EXIT_OK
 
 

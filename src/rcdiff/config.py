@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .io import sha256_text
+from .io import a_tag, sha256_text
 from .oracle import DiffusionSchedule
 from .score_model import TrainConfig
 
@@ -140,8 +140,9 @@ class RunConfig:
         hidden = v["score.hidden"]
         if not 1 <= len(hidden) <= 3 or min(hidden) < 1:
             raise ConfigError("score.hidden must be 1 to 3 positive widths")
-        # Values that collide would overwrite each other's artifacts.
-        for key, conv in (("sweep.a", float), ("sweep.seeds", int)):
+        # Values that collide would overwrite each other's artifacts; targets
+        # collide when their file tags do (1 and 1.0000001 both tag as "1").
+        for key, conv in (("sweep.a", a_tag), ("sweep.seeds", int)):
             if not v[key]:
                 raise ConfigError(f"{key} must be nonempty")
             if len({conv(x) for x in v[key]}) != len(v[key]):

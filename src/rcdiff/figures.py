@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io
 from .errors import RcdiffError
-from .pipeline import _a_tag, read_metrics_csv
+from .pipeline import read_metrics_csv
 from .svgplot import Series, render_line_plot
 from .world import true_reward
 
@@ -90,7 +90,7 @@ def _emit_histograms(run_dir, out, rows, log) -> None:
         for seed in seeds:
             sdir = run_dir / f"seed_{seed}"
             world = io.load_world(sdir / "world.rctb")
-            batch = io.load_samples(sdir / f"samples_a{_a_tag(a)}")
+            batch = io.load_samples(sdir / f"samples_a{io.a_tag(a)}")
             pooled.append(true_reward(world, batch.X))
         rewards[a] = np.concatenate(pooled)
     lo = min(float(v.min()) for v in rewards.values())
@@ -98,7 +98,7 @@ def _emit_histograms(run_dir, out, rows, log) -> None:
     series = []
     for a in a_values:
         counts, edges = np.histogram(rewards[a], bins=50, range=(lo, hi))
-        path = out / f"hist_a{_a_tag(a)}.csv"
+        path = out / f"hist_a{io.a_tag(a)}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_lo", "bin_hi", "count"])

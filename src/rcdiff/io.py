@@ -203,6 +203,15 @@ def load_world(path):
     )
 
 
+def a_tag(a: float) -> str:
+    """File-name tag of target value ``a`` (``samples_a<tag>``, ``metrics_a<tag>``).
+
+    Six significant digits, ``-`` as ``m`` and ``.`` as ``p``; ``-0.0`` is
+    tagged as ``0.0``, which it equals.
+    """
+    return f"{a + 0.0:g}".replace("-", "m").replace(".", "p")
+
+
 def save_samples(path_prefix, batch) -> tuple[str, str]:
     """Write a sample batch as matrix file plus JSON sidecar; returns paths."""
     bin_path = str(path_prefix) + ".bin"

@@ -64,12 +64,6 @@ class DiffusionSchedule:
         if not 0 < self.eta <= self.t0:
             raise ValidationError("need 0 < eta <= t0")
 
-    def alpha(self, t):
-        return alpha_of(t)
-
-    def h(self, t):
-        return h_of(t)
-
     def to_dict(self) -> dict:
         return {"terminal_time": self.terminal_time, "t0": self.t0, "eta": self.eta}
 
@@ -244,6 +238,10 @@ class AnalyticScore:
 
     def __call__(self, x, y, t):
         return analytic_score(self.oracle, x, y, t)
+
+    @property
+    def D(self) -> int:
+        return self.oracle.world.D
 
     @property
     def score_id(self) -> str:

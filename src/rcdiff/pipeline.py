@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import io
 from .config import RunConfig
@@ -36,7 +38,7 @@ from .regression import fit_ridge, pseudo_label
 from .rng import derive
 from .sampler import run_backward
 from .score_model import CoveringScore, MlpScore, extract_subspace, train
-from .world import generate_datasets, make_world
+from .world import LabeledDataset, UnlabeledDataset, generate_datasets, make_world
 
 CSV_COLUMNS = [
     "a", "seed", "subopt", "avg_reward", "e1", "e2", "e3",
@@ -56,17 +58,6 @@ class PipelineStageError(RcdiffError, RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-def _a_tag(a: float) -> str:
-    return f"{a:g}".replace("-", "m").replace(".", "p")
-
-
-def _build_model(cfg: RunConfig, seed: int):
-    D, d = cfg["world.D"], cfg["world.d"]
-    if cfg["score.variant"] == "covering":
-        return CoveringScore(D, d, cfg.nu, seed=derive(seed, 13))
-    return MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=derive(seed, 13))
 
 
 def is_up_to_date(cfg: RunConfig, out_dir, score_source: str = "model") -> bool:
@@ -119,92 +110,158 @@ def run_pipeline(cfg: RunConfig, out_dir=None, *, force: bool = False,
     return out
 
 
-def _stage(manifest, name, fn):
-    start = time.perf_counter()
-    try:
-        result = fn()
-    except Exception as exc:
-        raise PipelineStageError(name, exc) from exc
-    manifest.add_timing(name, time.perf_counter() - start)
-    return result
-
-
 def _run_seed(cfg, out, seed, manifest, rows, log, use_oracle_score):
-    sdir = out / f"seed_{seed}"
-    sdir.mkdir(parents=True, exist_ok=True)
-
-    world = _stage(manifest, f"seed{seed}.world", lambda: make_world(
-        cfg["world.D"], cfg["world.d"], cfg.sigma,
-        cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
-        seed=derive(seed, SEED_WORLD),
-    ))
-    io.save_world(sdir / "world.rctb", world)
-
-    unlabeled, labeled = _stage(manifest, f"seed{seed}.data", lambda: generate_datasets(
-        world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
-        seed=derive(seed, SEED_DATA),
-    ))
-    io.write_matrix(sdir / "unlabeled.bin", unlabeled.X)
-    io.write_matrix(sdir / "labeled.bin", labeled.X)
-    io.write_matrix(sdir / "labeled_y.bin", labeled.y.reshape(-1, 1))
-    io.export_csv(sdir / "labeled.csv", labeled.X, labeled.y)
-
-    est = _stage(manifest, f"seed{seed}.ridge",
-                 lambda: fit_ridge(labeled, cfg["reward.lambda"]))
-    io.save_ridge(sdir / "ridge.rctb", est)
-
-    curated = _stage(manifest, f"seed{seed}.pseudo", lambda: pseudo_label(
-        unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
-    ))
-    io.write_matrix(sdir / "pseudo_labels.bin", curated.y_hat.reshape(-1, 1))
-
-    schedule = cfg.schedule()
-    oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=cfg.nu)
-    manifest.data.setdefault("oracle", {})[str(seed)] = {
-        "nu": cfg.nu,
-        "beta_hat": [float(v) for v in oracle.beta_hat],
-        "params_digest": oracle.params_digest(),
-    }
+    st = SeedStages(cfg, seed, out / f"seed_{seed}", manifest, log)
+    world, unlabeled, labeled = st.data()
+    est = st.ridge(labeled)
+    curated = st.pseudo(unlabeled, est)
+    oracle = st.oracle(world, est)
     if use_oracle_score:
-        score = AnalyticScore(oracle)
-        V = world.A
+        score, V = st.score(oracle=oracle), world.A
     else:
-        model = _build_model(cfg, seed)
-        result = _stage(manifest, f"seed{seed}.train", lambda: train(
-            model, curated, cfg.train_config(seed), schedule,
+        score = st.score(curated=curated)
+        V = extract_subspace(score)
+    for a in cfg["sweep.a"]:
+        rows.append(st.metrics(st.sample(score, a), world, est, oracle, V))
+    for p in sorted(st.sdir.iterdir()):
+        manifest.add_file(out, p)
+
+
+@dataclass
+class SeedStages:
+    """The stages of one seed, each computing from in-memory inputs and
+    writing its artifacts under ``sdir``.
+
+    ``run_pipeline`` chains them; the single-stage CLI commands read one
+    stage's inputs back from ``sdir`` and call the same method.  Stage
+    timings and the training and oracle records go to ``manifest``.
+    """
+
+    cfg: RunConfig
+    seed: int
+    sdir: Path
+    manifest: io.ManifestBuilder
+    log: Callable = lambda msg: None
+
+    def _timed(self, name, fn):
+        name = f"seed{self.seed}.{name}"
+        start = time.perf_counter()
+        try:
+            result = fn()
+        except Exception as exc:
+            raise PipelineStageError(name, exc) from exc
+        self.manifest.add_timing(name, time.perf_counter() - start)
+        return result
+
+    def data(self):
+        """World and datasets; returns ``(world, unlabeled, labeled)``."""
+        cfg, sdir = self.cfg, self.sdir
+        sdir.mkdir(parents=True, exist_ok=True)
+        world = self._timed("world", lambda: make_world(
+            cfg["world.D"], cfg["world.d"], cfg.sigma,
+            cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
+            seed=derive(self.seed, SEED_WORLD),
         ))
-        manifest.data.setdefault("training", {})[str(seed)] = {
+        io.save_world(sdir / "world.rctb", world)
+        unlabeled, labeled = self._timed("data", lambda: generate_datasets(
+            world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
+            seed=derive(self.seed, SEED_DATA),
+        ))
+        io.write_matrix(sdir / "unlabeled.bin", unlabeled.X)
+        io.write_matrix(sdir / "labeled.bin", labeled.X)
+        io.write_matrix(sdir / "labeled_y.bin", labeled.y.reshape(-1, 1))
+        io.export_csv(sdir / "labeled.csv", labeled.X, labeled.y)
+        return world, unlabeled, labeled
+
+    def read_labeled(self) -> LabeledDataset:
+        """The labeled dataset that ``data`` wrote."""
+        return LabeledDataset(
+            X=io.read_matrix(self.sdir / "labeled.bin"),
+            y=io.read_matrix(self.sdir / "labeled_y.bin").ravel(),
+            noise_sigma=self.cfg["data.noise_sigma"],
+        )
+
+    def read_unlabeled(self) -> UnlabeledDataset:
+        """The unlabeled dataset that ``data`` wrote."""
+        return UnlabeledDataset(X=io.read_matrix(self.sdir / "unlabeled.bin"))
+
+    def ridge(self, labeled):
+        est = self._timed("ridge", lambda: fit_ridge(labeled, self.cfg["reward.lambda"]))
+        io.save_ridge(self.sdir / "ridge.rctb", est)
+        return est
+
+    def pseudo(self, unlabeled, est):
+        curated = self._timed("pseudo", lambda: pseudo_label(
+            unlabeled, est, self.cfg.nu, seed=derive(self.seed, SEED_PSEUDO),
+        ))
+        io.write_matrix(self.sdir / "pseudo_labels.bin", curated.y_hat.reshape(-1, 1))
+        return curated
+
+    def oracle(self, world, est) -> GaussianDesignOracle:
+        """The closed-form reference for the fitted reward, recorded in the manifest."""
+        oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=self.cfg.nu)
+        self.manifest.data.setdefault("oracle", {})[str(self.seed)] = {
+            "nu": self.cfg.nu,
+            "beta_hat": [float(v) for v in oracle.beta_hat],
+            "params_digest": oracle.params_digest(),
+        }
+        return oracle
+
+    def score(self, *, oracle=None, curated=None):
+        """The score the sampler follows.
+
+        With ``oracle`` this is its closed-form score (no training); with
+        ``curated`` it is a model of the configured variant trained on the
+        pseudo-labelled data and saved, its loss traces in the manifest.
+        """
+        if oracle is not None:
+            return AnalyticScore(oracle)
+        cfg, schedule = self.cfg, self.cfg.schedule()
+        D, d, init = cfg["world.D"], cfg["world.d"], derive(self.seed, 13)
+        if cfg["score.variant"] == "covering":
+            model = CoveringScore(D, d, cfg.nu, seed=init)
+        else:
+            model = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
+        result = self._timed("train", lambda: train(
+            model, curated, cfg.train_config(self.seed), schedule,
+        ))
+        self.manifest.data.setdefault("training", {})[str(self.seed)] = {
             "loss_trace": result.loss_trace,
             "val_trace": result.val_trace,
         }
-        io.save_model(sdir / "score_model.rctb", model, schedule)
-        score = model
-        V = extract_subspace(model)
-        log(f"seed {seed}: trained ({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
+        io.save_model(self.sdir / "score_model.rctb", model, schedule)
+        self.log(f"seed {self.seed}: trained "
+                 f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
+        return model
 
-    for a_index, a in enumerate(cfg["sweep.a"]):
-        batch = _stage(manifest, f"seed{seed}.sample.a{_a_tag(a)}", lambda: run_backward(
-            score, a, cfg["sample.n"], schedule,
-            seed=derive(seed, SEED_SAMPLE, a_index), dim=world.D,
+    def sample(self, score, a):
+        """Generate at target ``a``, which must be one of ``sweep.a``: its
+        position there selects the noise stream."""
+        a_index = self.cfg["sweep.a"].index(a)
+        batch = self._timed(f"sample.a{io.a_tag(a)}", lambda: run_backward(
+            score, a, self.cfg["sample.n"], self.cfg.schedule(),
+            seed=derive(self.seed, SEED_SAMPLE, a_index),
         ))
-        io.save_samples(sdir / f"samples_a{_a_tag(a)}", batch)
-        report = _stage(manifest, f"seed{seed}.metrics.a{_a_tag(a)}", lambda: build_metrics_report(
+        io.save_samples(self.sdir / f"samples_a{io.a_tag(a)}", batch)
+        return batch
+
+    def metrics(self, batch, world, est, oracle, V) -> dict:
+        """Score one generated batch; returns its ``metrics.csv`` row."""
+        cfg, a = self.cfg, batch.a
+        report = self._timed(f"metrics.a{io.a_tag(a)}", lambda: build_metrics_report(
             batch, world, est, oracle, V,
             n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
-            seed=derive(seed, SEED_METRICS, a_index),
+            seed=derive(self.seed, SEED_METRICS, cfg["sweep.a"].index(a)),
         ))
-        io.write_json(sdir / f"metrics_a{_a_tag(a)}.json", report.to_dict())
-        rows.append({
-            "a": a, "seed": seed, "subopt": report.subopt,
+        io.write_json(self.sdir / f"metrics_a{io.a_tag(a)}.json", report.to_dict())
+        self.log(f"seed {self.seed} a={a:g}: reward {report.avg_reward:+.3f} "
+                 f"offsupport {report.off_support_mean:.3f}")
+        return {
+            "a": a, "seed": self.seed, "subopt": report.subopt,
             "avg_reward": report.avg_reward, "e1": report.e1, "e2": report.e2,
             "e3": report.e3, "angle": report.subspace_angle,
             "offsupport": report.off_support_mean, "shift": report.distro_shift,
-        })
-        log(f"seed {seed} a={a:g}: reward {report.avg_reward:+.3f} "
-            f"offsupport {report.off_support_mean:.3f}")
-
-    for p in sorted(sdir.iterdir()):
-        manifest.add_file(out, p)
+        }
 
 
 def _write_csv(path, rows) -> None:

@@ -72,7 +72,6 @@ def run_backward(
     seed,
     dim: int | None = None,
     score_id: str | None = None,
-    integrator: str = "euler",
 ) -> SampleBatch:
     """Generate ``n`` points conditioned on target value ``a``.
 
@@ -84,14 +83,7 @@ def run_backward(
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    if integrator != "euler":
-        # Flag reserved for an exact-OU-drift step; plain Euler is the
-        # discretization under study and the only one implemented.
-        raise ValidationError(f"unknown integrator {integrator!r}")
     D = dim if dim is not None else getattr(score, "D", None)
-    if D is None:
-        D = getattr(getattr(score, "oracle", None), "world", None)
-        D = D.D if D is not None else None
     if D is None:
         raise ValidationError("pass dim= when the score does not carry its dimension")
     if isinstance(seed, np.random.Generator):

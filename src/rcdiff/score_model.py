@@ -424,7 +424,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    t_sampling: str = "uniform"   # law of the per-row time draws on [t0, T]
     seed: int = 0
     val_size: int = 512
 
@@ -435,8 +434,6 @@ class TrainConfig:
             raise ValidationError("epochs must be at least 1")
         if not 0 < self.lr_decay <= 1.0:
             raise ValidationError("lr_decay must lie in (0, 1]")
-        if self.t_sampling != "uniform":
-            raise ValidationError("only uniform time sampling is implemented")
 
 
 @dataclass

@@ -81,7 +81,8 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize("line", [
         "score.hidden =", "score.hidden = 8, 8, 8, 8", "score.lr_decay = 1.5",
-        "sweep.a = 0, 1, 1.0", "sweep.seeds = 2, 2",
+        "sweep.a = 0, 1, 1.0", "sweep.seeds = 2, 2", "sweep.a = 1, 1.0000001",
+        "sweep.a = 0, -0",
     ])
     def test_dry_run_rejects_config_that_fails_later(self, smoke_cfg, line):
         cfg, out = smoke_cfg
@@ -166,12 +167,13 @@ class TestValidateCommand:
 
 
 class TestStagedCommands:
-    def test_staged_flow_matches_pipeline_layout(self, smoke_cfg):
+    def test_staged_flow_matches_pipeline_layout(self, smoke_cfg, tmp_path):
         cfg, out = smoke_cfg
         assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
         assert main(["train-reward", "--config", str(cfg)]) == EXIT_OK
         assert main(["train-score", "--config", str(cfg)]) == EXIT_OK
         assert main(["sample", "--config", str(cfg), "--a", "2"]) == EXIT_OK
+        assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_OK
         sdir = out / "seed_0"
         for name in ("world.rctb", "labeled.bin", "ridge.rctb",
                      "score_model.rctb", "samples_a2.bin", "samples_a2.json"):
@@ -179,6 +181,27 @@ class TestStagedCommands:
         side = json.loads((sdir / "samples_a2.json").read_text())
         assert side["a"] == 2.0
         assert side["n"] == 256
+
+        # Every per-seed file both flows write is byte-identical.
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out", str(tmp_path / "full")]) == EXIT_OK
+        full = tmp_path / "full" / "seed_0"
+        staged = {p.name for p in sdir.iterdir()}
+        shared = staged & {p.name for p in full.iterdir()}
+        assert staged - shared == {"train_trace.json"}
+        assert {"pseudo_labels.bin", "samples_a0.bin", "labeled.csv"} <= shared
+        for name in sorted(shared):
+            assert (sdir / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_sample_outside_sweep_is_config_error(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        main(["gen-data", "--config", str(cfg)])
+        main(["train-reward", "--config", str(cfg)])
+        before = sorted(p.name for p in (out / "seed_0").iterdir())
+        assert main(["sample", "--config", str(cfg), "--a", "3",
+                     "--use-oracle"]) == EXIT_CONFIG
+        assert "sweep.a" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "seed_0").iterdir()) == before
 
     def test_sample_with_oracle_score(self, smoke_cfg):
         cfg, out = smoke_cfg

@@ -141,10 +141,3 @@ class TestRunBackward:
         with pytest.raises(ValidationError):
             run_backward(AnalyticScore(orc), a=0.0, n=4, schedule=sched,
                          seed=np.random.default_rng(0))
-
-    def test_unknown_integrator_rejected(self):
-        orc = _oracle()
-        sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        with pytest.raises(ValidationError):
-            run_backward(AnalyticScore(orc), a=0.0, n=4, schedule=sched,
-                         seed=0, integrator="exponential")
