@@ -9,7 +9,6 @@ references that every learned component is tested against.
 
 from .errors import (
     ConfigError,
-    DegenerateShiftError,
     DimensionError,
     ExtractionError,
     RankError,
@@ -55,10 +54,8 @@ from .score_model import (
 from .metrics import (
     MetricsReport,
     build_metrics_report,
-    distribution_shift_mc,
     moment_discrepancy,
     off_support_deviation,
-    pushforward_discrepancy,
     reward_histogram,
     subopt_decomposition,
     subspace_angle,

@@ -38,6 +38,11 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
 def cmd_pipeline(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args.out)
     if args.dry_run:
+        # A dry run must not clobber the record of a real run: the next
+        # pipeline call would no longer find it up to date.
+        if (out / "manifest.json").exists():
+            print(f"dry run: config valid, kept existing {out}/manifest.json")
+            return EXIT_OK
         out.mkdir(parents=True, exist_ok=True)
         manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
         manifest.data["dry_run"] = True

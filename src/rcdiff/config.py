@@ -26,15 +26,8 @@ import numpy as np
 from .errors import ConfigError
 from .io import a_tag, sha256_text
 from .oracle import DiffusionSchedule
+from .regression import default_nu
 from .score_model import TrainConfig
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _parse_float_list(s: str) -> list:
@@ -113,6 +106,10 @@ class RunConfig:
 
     @staticmethod
     def _validate(v: dict) -> None:
+        # nan and inf pass the range checks below and fail only at run time.
+        for key, (parser, _, _) in SCHEMA.items():
+            if parser in (float, _parse_float_list) and not np.all(np.isfinite(v[key])):
+                raise ConfigError(f"{key} must be finite")
         if not 1 <= v["world.d"] <= v["world.D"]:
             raise ConfigError("need 1 <= world.d <= world.D")
         if v["world.sigma_diag"]:
@@ -124,6 +121,8 @@ class RunConfig:
                     "metrics.histogram_bins"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
+        if v["world.offsupport_coeff"] < 0:
+            raise ConfigError("world.offsupport_coeff must be nonnegative")
         if v["world.offsupport_sign"] not in ("penalty", "bonus"):
             raise ConfigError("world.offsupport_sign must be penalty or bonus")
         if not 0 <= v["data.noise_sigma"] < 1:
@@ -133,8 +132,14 @@ class RunConfig:
                 nu = float(v["reward.nu"])
             except ValueError as exc:
                 raise ConfigError("reward.nu must be 'auto' or a number") from exc
-            if nu < 0:
-                raise ConfigError("reward.nu must be nonnegative")
+            if not 0 < nu < np.inf:
+                raise ConfigError("reward.nu must be positive and finite")
+        if v["reward.lambda"] < 0:
+            raise ConfigError("reward.lambda must be nonnegative")
+        # The labeled features span only the d-dimensional support, so an
+        # unregularized fit is singular unless the support fills the space.
+        if v["reward.lambda"] == 0 and v["world.d"] < v["world.D"]:
+            raise ConfigError("reward.lambda = 0 needs world.d = world.D")
         if v["score.variant"] not in ("covering", "mlp"):
             raise ConfigError("score.variant must be covering or mlp")
         hidden = v["score.hidden"]
@@ -161,7 +166,7 @@ class RunConfig:
     @property
     def nu(self) -> float:
         if self.values["reward.nu"] == "auto":
-            return 1.0 / np.sqrt(self.values["world.D"])
+            return default_nu(self.values["world.D"])
         return float(self.values["reward.nu"])
 
     @property

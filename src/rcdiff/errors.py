@@ -44,7 +44,3 @@ class SamplerDivergedError(RcdiffError, RuntimeError):
 
 class ExtractionError(RcdiffError, ValueError):
     """The stored decoder matrix is rank deficient."""
-
-
-class DegenerateShiftError(RcdiffError, ValueError):
-    """A distribution-shift ratio has a vanishing denominator."""

@@ -4,8 +4,7 @@ Covers subspace recovery (projector-difference Frobenius angle), support
 fidelity (mean orthogonal distance), reward quality (suboptimality against
 the target value and its three-part decomposition into reward-estimation,
 on-support, and off-support errors), moment discrepancies against a
-reference Gaussian law, a class-restricted distribution-shift ratio, and
-reward histograms.
+reference Gaussian law, and reward histograms.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShiftError, DimensionError, ValidationError
-from .oracle import GaussianDesignOracle, alpha_of, h_of, sample_conditional_latents
+from .errors import DimensionError, ValidationError
+from .oracle import GaussianDesignOracle, sample_conditional_latents
 from .regression import RidgeEstimate
-from .rng import as_generator, derive
+from .rng import as_generator
 from .sampler import SampleBatch
 from .world import SubspaceWorld, decompose, true_reward
 
@@ -60,9 +59,6 @@ class Decomposition:
     e3: float                 # off-support reward magnitude
     e1_se: float = 0.0
     e2_se: float = 0.0
-
-    def __iter__(self):
-        return iter((self.e1, self.e2, self.e3))
 
 
 def subopt_decomposition(
@@ -121,32 +117,6 @@ def e1_exact_gaussian(
     )
 
 
-def procrustes_align(V: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Orthogonal ``U`` minimizing ``||V U - A||_F`` (closed form via SVD)."""
-    W, _, Yt = np.linalg.svd(V.T @ A)
-    return W @ Yt
-
-
-def pushforward_discrepancy(batch, V: np.ndarray, oracle, a: float) -> tuple[float, float]:
-    """Latent-space moment gaps of the generated batch.
-
-    Projects the batch through the aligned learned frame ``V U`` and
-    compares its moments against the noised conditional latent law at the
-    batch's early-stop time.  This is the computable stand-in for a
-    total-variation comparison of the low-dimensional push-forwards.
-    """
-    from .oracle import alpha_of, conditional_latent_law, h_of
-
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
-    t0 = batch.schedule.t0 if isinstance(batch, SampleBatch) else 0.0
-    U = procrustes_align(V, oracle.world.A)
-    Z = X @ V @ U
-    mean0, cov0 = conditional_latent_law(oracle, a)
-    al = float(alpha_of(t0))
-    law = (al * mean0, al**2 * cov0 + float(h_of(t0)) * np.eye(len(mean0)))
-    return moment_discrepancy(Z, law)
-
-
 def moment_discrepancy(batch, law: tuple) -> tuple[float, float]:
     """Mean gap and relative covariance gap against a reference Gaussian law."""
     X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
@@ -159,100 +129,19 @@ def moment_discrepancy(batch, law: tuple) -> tuple[float, float]:
     return mean_gap, cov_gap
 
 
-# ---------------------------------------------------------------------------
-# Class-restricted distribution shift
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LossEvaluator:
-    """Named deterministic per-example loss ``fn(X, y) -> (n,) array``."""
-
-    name: str
-    fn: object
-
-    def __call__(self, X, y):
-        return self.fn(X, y)
-
-
-def denoising_loss_family(
-    scores: dict, schedule, n_draws: int = 16, *, seed: int
-) -> list:
-    """Per-example denoising losses of the given scores as a loss family.
-
-    One fixed set of ``(t, eps)`` draws (a pure function of ``seed`` and the
-    data dimension) is shared by every example and every member, so each
-    member is a deterministic function of the example.
-    """
-    t = as_generator(derive(seed, 3)).uniform(
-        schedule.t0, schedule.terminal_time, n_draws
-    )
-
-    def draws_for(D: int) -> np.ndarray:
-        return as_generator(derive(seed, 7, D)).standard_normal((n_draws, D))
-
-    def make(name, score):
-        def fn(X, y):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            n, D = X.shape
-            yv = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,))
-            eps = draws_for(D)
-            total = np.zeros(n)
-            for k in range(n_draws):
-                al, h = float(alpha_of(t[k])), float(h_of(t[k]))
-                Xp = al * X + math.sqrt(h) * eps[k]
-                resid = score(Xp, yv, t[k]) + eps[k] / math.sqrt(h)
-                total += np.sum(resid * resid, axis=1)
-            return total / n_draws
-
-        return LossEvaluator(name=name, fn=fn)
-
-    return [make(name, s) for name, s in scores.items()]
-
-
-def distribution_shift_mc(samples_p1, samples_p2, losses) -> tuple[float, str]:
-    """Largest expectation ratio over the loss family; returns (value, name).
-
-    ``samples_p1`` and ``samples_p2`` are ``(X, y)`` pairs of Monte Carlo
-    samples from the two distributions being compared.
-    """
-    X1, y1 = samples_p1
-    X2, y2 = samples_p2
-    best, best_name = -np.inf, None
-    for loss in losses:
-        num = float(np.mean(loss(X1, y1)))
-        den = float(np.mean(loss(X2, y2)))
-        if den <= 0.0:
-            raise DegenerateShiftError(f"loss {loss.name!r} has nonpositive mean")
-        ratio = num / den
-        if ratio > best:
-            best, best_name = ratio, loss.name
-    if best_name is None:
-        raise ValidationError("loss family must be nonempty")
-    return best, best_name
-
-
 @dataclass(frozen=True)
 class Histogram:
     edges: np.ndarray
     counts: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
-    def mean(self) -> float:
-        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        return float(np.sum(centers * self.counts) / max(self.counts.sum(), 1))
-
-
-def reward_histogram(batch, world: SubspaceWorld, bins: int = 50,
-                     range_: tuple | None = None) -> Histogram:
-    """Histogram of realized rewards; ``range_`` pins shared bin edges."""
+def reward_histogram(batch, world: SubspaceWorld, bins: int = 50) -> Histogram:
+    """Histogram of realized rewards."""
     if bins < 1:
         raise ValidationError("bins must be at least 1")
     X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
     rewards = true_reward(world, X)
-    counts, edges = np.histogram(rewards, bins=bins, range=range_)
+    counts, edges = np.histogram(rewards, bins=bins)
     return Histogram(edges=edges, counts=counts)
 
 
@@ -278,7 +167,6 @@ class MetricsReport:
     histogram_counts: list
     seed: object
     score_id: str
-    distro_shift_kind: str = "known-sigma-surrogate"
 
     def __post_init__(self):
         scalars = (
@@ -305,7 +193,7 @@ class MetricsReport:
             "e2": self.e2,
             "e3": self.e3,
             "distro_shift": self.distro_shift,
-            "distro_shift_kind": self.distro_shift_kind,
+            "distro_shift_kind": "known-sigma-surrogate",
             "moment_discrepancy": {"mean_gap": self.mean_gap, "cov_gap": self.cov_gap},
             "histogram": {
                 "edges": self.histogram_edges,

@@ -49,6 +49,7 @@ CSV_COLUMNS = [
 SEED_WORLD = 10
 SEED_DATA = 11
 SEED_PSEUDO = 12
+SEED_MODEL = 13
 SEED_SAMPLE = 20
 SEED_METRICS = 21
 
@@ -217,7 +218,7 @@ class SeedStages:
         if oracle is not None:
             return AnalyticScore(oracle)
         cfg, schedule = self.cfg, self.cfg.schedule()
-        D, d, init = cfg["world.D"], cfg["world.d"], derive(self.seed, 13)
+        D, d, init = cfg["world.D"], cfg["world.d"], derive(self.seed, SEED_MODEL)
         if cfg["score.variant"] == "covering":
             model = CoveringScore(D, d, cfg.nu, seed=init)
         else:

@@ -70,22 +70,20 @@ def run_backward(
     schedule: DiffusionSchedule,
     *,
     seed,
-    dim: int | None = None,
-    score_id: str | None = None,
 ) -> SampleBatch:
     """Generate ``n`` points conditioned on target value ``a``.
 
     ``score`` is any callable following the package convention
-    ``score(x, y, t)``; ``dim`` is only needed when the callable does not
-    expose a ``D`` attribute.  ``seed`` must be an int or a SeedSequence so
+    ``score(x, y, t)`` that carries its dimension as ``D`` (and its
+    ``score_id``).  ``seed`` must be an int or a SeedSequence so
     per-chunk streams can be derived.  The output is a pure function of
     ``(score, a, n, schedule, seed)``.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    D = dim if dim is not None else getattr(score, "D", None)
+    D = getattr(score, "D", None)
     if D is None:
-        raise ValidationError("pass dim= when the score does not carry its dimension")
+        raise ValidationError("the score must carry its dimension as D")
     if isinstance(seed, np.random.Generator):
         raise ValidationError("run_backward needs an int or SeedSequence seed")
 
@@ -108,9 +106,8 @@ def run_backward(
                 raise SamplerDivergedError(k)
             t_bwd += dt
         chunks.append(x)
-    sid = score_id if score_id is not None else getattr(score, "score_id", "unknown")
-    return SampleBatch(X=np.concatenate(chunks, axis=0), a=float(a),
-                       schedule=schedule, score_id=sid, seed=_seed_repr(seed))
+    return SampleBatch(X=np.concatenate(chunks, axis=0), a=float(a), schedule=schedule,
+                       score_id=getattr(score, "score_id", "unknown"), seed=_seed_repr(seed))
 
 
 def _seed_repr(seed):

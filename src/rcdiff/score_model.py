@@ -442,14 +442,6 @@ class TrainResult:
     loss_trace: list          # mean train loss per epoch
     val_trace: list           # fixed-draw validation loss, epochs + 1 entries
 
-    @property
-    def initial_val_loss(self) -> float:
-        return self.val_trace[0]
-
-    @property
-    def final_val_loss(self) -> float:
-        return self.val_trace[-1]
-
 
 class Adam:
     """First-order moment-based optimizer with bias correction."""

@@ -220,9 +220,3 @@ def generate_datasets(
     if noise_sigma > 0:
         y2 = y2 + noise_sigma * rng.standard_normal(n2)
     return UnlabeledDataset(X=X1), LabeledDataset(X=X2, y=y2, noise_sigma=noise_sigma)
-
-
-def support_residual(world: SubspaceWorld, X: np.ndarray) -> float:
-    """Largest distance of any row of ``X`` from the support."""
-    _, x_perp = decompose(world, X)
-    return float(np.max(np.linalg.norm(np.atleast_2d(x_perp), axis=1), initial=0.0))

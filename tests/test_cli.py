@@ -65,6 +65,16 @@ class TestPipelineCommand:
         assert manifest["dry_run"] is True
         assert manifest["complete"] is False
 
+    def test_dry_run_keeps_finished_run_up_to_date(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        manifest = (out / "manifest.json").read_bytes()
+        assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == EXIT_OK
+        assert "kept" in capsys.readouterr().out
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert "up to date" in capsys.readouterr().out
+
     def test_metrics_csv_is_parseable(self, smoke_cfg):
         from rcdiff.pipeline import read_metrics_csv
 
@@ -82,7 +92,9 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("line", [
         "score.hidden =", "score.hidden = 8, 8, 8, 8", "score.lr_decay = 1.5",
         "sweep.a = 0, 1, 1.0", "sweep.seeds = 2, 2", "sweep.a = 1, 1.0000001",
-        "sweep.a = 0, -0",
+        "sweep.a = 0, -0", "reward.nu = 0", "world.offsupport_coeff = -1",
+        "reward.lambda = -1", "reward.lambda = nan", "reward.lambda = 0",
+        "sweep.a = 0, inf",
     ])
     def test_dry_run_rejects_config_that_fails_later(self, smoke_cfg, line):
         cfg, out = smoke_cfg

@@ -113,11 +113,14 @@ class TestRunBackward:
             run_backward(lambda x, y, t: x, a=0.0, n=4, schedule=sched, seed=0)
 
     def test_callable_with_explicit_dim(self):
+        class Contractor:
+            D, score_id = 3, "contractor"
+
+            def __call__(self, x, y, t):
+                return -x
+
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        batch = run_backward(
-            lambda x, y, t: -x, a=0.0, n=16, schedule=sched, seed=1, dim=3,
-            score_id="contractor",
-        )
+        batch = run_backward(Contractor(), a=0.0, n=16, schedule=sched, seed=1)
         assert batch.X.shape == (16, 3)
         assert batch.score_id == "contractor"
 
