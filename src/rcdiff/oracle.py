@@ -109,68 +109,43 @@ class GaussianDesignOracle:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def b_matrix(oracle: GaussianDesignOracle, t: float) -> np.ndarray:
-    """The d x d matrix inverting the noised latent precision at time ``t``."""
-    if not t > 0:
-        raise ValidationError("b_matrix requires t > 0")
-    a2 = float(alpha_of(t)) ** 2
-    h = float(h_of(t))
+def b_matrix(oracle: GaussianDesignOracle, t) -> np.ndarray:
+    """The d x d matrix inverting the noised latent precision at time ``t``.
+
+    A scalar ``t`` gives one (d, d) matrix; a 1-D ``t`` of length k gives
+    the (k, d, d) stack, one plain inverse per time.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValidationError("the oracle's B_t requires t > 0 (the score blows up at t=0)")
+    a2 = (alpha_of(t) ** 2)[..., None, None]
+    h = h_of(t)[..., None, None]
     b = oracle.beta_hat
     M = a2 * np.eye(oracle.world.d) + (h / oracle.nu**2) * np.outer(b, b)
     M += h * oracle.sigma_inv
     B = np.linalg.inv(M)
-    return 0.5 * (B + B.T)
-
-
-def score_inner(oracle: GaussianDesignOracle, u: np.ndarray, y, t: float) -> np.ndarray:
-    """Latent head of the score: the map the encoder-decoder class learns.
-
-    ``u`` is the projected input ``A^T x`` (shape (d,) or (n, d)); the full
-    score is ``(A inner - x) / h(t)``.
-    """
-    a = float(alpha_of(t))
-    h = float(h_of(t))
-    B = b_matrix(oracle, t)
-    y = np.asarray(y, dtype=float)
-    w = a * np.atleast_2d(u) + (h / oracle.nu**2) * np.outer(y.ravel(), oracle.beta_hat)
-    out = a * (w @ B)
-    return out[0] if np.ndim(u) == 1 else out
+    return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
 def analytic_score(oracle: GaussianDesignOracle, x: np.ndarray, y, t) -> np.ndarray:
     """Conditional score of the noised joint law at time ``t > 0``.
 
     Accepts a single point ``x`` of shape (D,) with scalar ``y``, or a batch
-    (n, D) with ``y`` scalar or (n,); ``t`` is a scalar or a per-row (n,)
-    array.
+    (n, D) with ``y`` scalar or (n,).  A scalar ``t`` is shared by every
+    row, which are contracted with one (d, d) ``B_t``; a per-row (n,) ``t``
+    takes one ``B_t`` per row from the (n, d, d) stack.
     """
-    if not np.all(np.asarray(t) > 0):
-        raise ValidationError("analytic_score requires t > 0 (blows up at t=0)")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     X = np.atleast_2d(x)
-    n = X.shape[0]
-    yv = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,))
-    if np.ndim(t) == 0:
-        h = float(h_of(t))
-        inner = score_inner(oracle, X @ oracle.world.A, yv, float(t))
-        out = (inner @ oracle.world.A.T - X) / h
-        return out[0] if single else out
-    tv = np.broadcast_to(np.asarray(t, dtype=float).ravel(), (n,))
-    al, h = alpha_of(tv), h_of(tv)
-    b = oracle.beta_hat
-    d = oracle.world.d
-    M = (
-        (al**2)[:, None, None] * np.eye(d)
-        + (h / oracle.nu**2)[:, None, None] * np.outer(b, b)
-        + h[:, None, None] * oracle.sigma_inv
-    )
-    B = np.linalg.inv(M)
-    U = X @ oracle.world.A
-    w = al[:, None] * U + ((h / oracle.nu**2) * yv)[:, None] * b
-    inner = al[:, None] * np.einsum("nij,nj->ni", B, w)
-    out = (inner @ oracle.world.A.T - X) / h[:, None]
-    return out[0] if single else out
+    t = np.asarray(t, dtype=float)
+    B = b_matrix(oracle, t)
+    t_col = t[:, None] if t.ndim else t  # broadcasts against the (n, d) rows
+    al, h = alpha_of(t_col), h_of(t_col)
+    A = oracle.world.A
+    w = al * (X @ A) + (h / oracle.nu**2) * np.outer(y, oracle.beta_hat)
+    inner = al * (np.einsum("nij,nj->ni", B, w) if t.ndim else w @ B)
+    out = (inner @ A.T - X) / h
+    return out[0] if x.ndim == 1 else out
 
 
 def conditional_latent_law(oracle: GaussianDesignOracle, a: float) -> tuple[np.ndarray, np.ndarray]:

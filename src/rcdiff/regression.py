@@ -36,6 +36,9 @@ class RidgeEstimate:
 
     def __post_init__(self):
         S = np.asarray(self.sigma_hat_lambda, dtype=float)
+        # NaN passes every comparison below as False, so test it first.
+        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(self.theta_hat))):
+            raise ValidationError("ridge estimate must be finite")
         if np.max(np.abs(S - S.T)) > 1e-8:
             raise ValidationError("sigma_hat_lambda must be symmetric")
         object.__setattr__(self, "theta_hat", np.asarray(self.theta_hat, dtype=float))
@@ -81,8 +84,8 @@ def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
     rank (condition estimate below 1e12); otherwise a ``RankError`` is
     raised rather than returning a silently unstable solution.
     """
-    if lam < 0:
-        raise ValidationError("lambda must be nonnegative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValidationError("lambda must be finite and nonnegative")
     X, y = data.X, data.y
     D = X.shape[1]
     gram = X.T @ X + lam * np.eye(D)

@@ -3,8 +3,9 @@
 Every criterion is oracle- or property-based: closed forms are checked
 against quadrature, Monte Carlo, or an algebraically independent second
 computation path, and the full pipeline is checked against the qualitative
-shape of the desk-scale simulation curves.  Tolerances and runtime budgets
-are fixed here, not tuned at runtime.
+shape of the desk-scale simulation curves.  Criteria 1, 2, 3, 4 and 6 run
+the ``rcdiff validate`` checks at their own sizes.  Tolerances and runtime
+budgets are fixed here, not tuned at runtime.
 """
 
 import csv
@@ -18,41 +19,25 @@ from scipy import stats
 from rcdiff import io
 from rcdiff.config import RunConfig
 from rcdiff.figures import emit_figures
-from rcdiff.metrics import (
-    moment_discrepancy,
-    subopt_decomposition,
-    subspace_angle,
-)
+from rcdiff.metrics import subopt_decomposition, subspace_angle
 from rcdiff.oracle import (
     AnalyticScore,
     DiffusionSchedule,
     GaussianDesignOracle,
-    analytic_score,
     conditional_latent_law,
     latent_second_moment,
-    noised_conditional_law,
     sample_conditional_latents,
-    score_via_quadrature_fd,
 )
 from rcdiff.pipeline import read_metrics_csv, run_pipeline
-from rcdiff.regression import (
-    default_nu,
-    fit_ridge,
-    projected_trace_full,
-    projected_trace_reduced,
-    pseudo_label,
-)
+from rcdiff.regression import default_nu, fit_ridge, pseudo_label
 from rcdiff.sampler import run_backward
-from rcdiff.score_model import (
-    CoveringScore,
-    MlpScore,
-    TrainConfig,
-    ZeroScore,
-    denoising_loss_and_grad,
-    denoising_objective,
-    exact_objective,
-    extract_subspace,
-    train,
+from rcdiff.score_model import CoveringScore, TrainConfig, extract_subspace, train
+from rcdiff.validate import (
+    check_prop1_equivalence,
+    check_sampler_moments,
+    check_score_gradients,
+    check_score_quadrature,
+    check_trace_identity,
 )
 from rcdiff.world import generate_datasets, make_world
 
@@ -93,17 +78,7 @@ def _hist_moments(path):
 
 def test_criterion_01_analytic_score_vs_quadrature():
     start = time.perf_counter()
-    world = make_world(D=2, d=1, sigma=np.array([[0.8]]), seed=0)
-    oracle = GaussianDesignOracle(world=world, beta_hat=np.array([0.7]), nu=0.4)
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(50):
-        x = 1.5 * rng.standard_normal(2)
-        y = float(1.2 * rng.standard_normal())
-        t = float(rng.uniform(0.05, 3.0))
-        ref = score_via_quadrature_fd(oracle, x, y, t)
-        got = analytic_score(oracle, x, y, t)
-        worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-6))))
+    worst = check_score_quadrature(n_points=50)
     assert worst <= 1e-3
     _verdict(1, time.perf_counter() - start, 60, f"max rel err {worst:.2e} <= 1e-3 over 50 points")
 
@@ -111,39 +86,15 @@ def test_criterion_01_analytic_score_vs_quadrature():
 def test_criterion_02_objective_equivalence():
     start = time.perf_counter()
     n_mc = 100_000
-    world = make_world(D=6, d=3, seed=2)
-    oracle = GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5)
-    schedule = DiffusionSchedule(terminal_time=5.0, t0=0.05, eta=0.05)
-    bumped = GaussianDesignOracle(
-        world=world, beta_hat=world.beta_star + np.array([0.3, -0.2, 0.1]), nu=0.5
-    )
-    s1, s2 = AnalyticScore(bumped), ZeroScore()
-    ex1, se1 = exact_objective(s1, oracle, n_mc, schedule, seed=11)
-    ex2, se2 = exact_objective(s2, oracle, n_mc, schedule, seed=11)
-    dn1, sd1 = denoising_objective(s1, oracle, n_mc, schedule, seed=12)
-    dn2, sd2 = denoising_objective(s2, oracle, n_mc, schedule, seed=12)
-    gap = abs((ex1 - ex2) - (dn1 - dn2))
-    tol = 3.0 * math.hypot(math.hypot(se1, se2), math.hypot(sd1, sd2))
+    gap, tol = check_prop1_equivalence(n_mc=n_mc)
     assert gap <= tol
     _verdict(2, time.perf_counter() - start, 120,
              f"|delta gap| {gap:.4f} <= 3 sigma {tol:.4f} at n_mc={n_mc}")
 
 
-def _criterion_3_batch(seed=11):
-    world = make_world(D=4, d=2, seed=7)
-    oracle = GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5)
-    schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-    batch = run_backward(AnalyticScore(oracle), a=2.0, n=4096, schedule=schedule,
-                         seed=seed)
-    return world, oracle, schedule, batch
-
-
 def test_criterion_03_sampler_fidelity():
     start = time.perf_counter()
-    _, oracle, schedule, batch = _criterion_3_batch()
-    mean, cov = noised_conditional_law(oracle, 2.0, schedule.t0)
-    mean_err = float(np.max(np.abs(batch.X.mean(axis=0) - mean)))
-    _, cov_gap = moment_discrepancy(batch, (mean, cov))
+    mean_err, cov_gap = check_sampler_moments(n=4096)
     assert mean_err <= 0.1
     assert cov_gap <= 0.10
     _verdict(3, time.perf_counter() - start, 120,
@@ -152,18 +103,7 @@ def test_criterion_03_sampler_fidelity():
 
 def test_criterion_04_trace_identity():
     start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    d, D = 5, 12
-    worst = 0.0
-    for _ in range(100):
-        lam = float(rng.uniform(0.1, 3.0))
-        A = np.linalg.qr(rng.standard_normal((D, d)))[0]
-        G1, G2 = rng.standard_normal((2, d, d))
-        s1 = G1 @ G1.T / d + 0.1 * np.eye(d)
-        s2 = G2 @ G2.T / d + 0.1 * np.eye(d)
-        full = projected_trace_full(lam, A, s1, s2)
-        reduced = projected_trace_reduced(lam, s1, s2)
-        worst = max(worst, abs(full - reduced) / abs(reduced))
+    worst = check_trace_identity(instances=100)
     assert worst <= 1e-8
     _verdict(4, time.perf_counter() - start, 5,
              f"worst relative gap {worst:.2e} <= 1e-8 over 100 instances")
@@ -192,39 +132,11 @@ def test_criterion_05_conditional_law_oracles():
 
 def test_criterion_06_gradient_checks():
     start = time.perf_counter()
-    rng = np.random.default_rng(3)
-    schedule = DiffusionSchedule(terminal_time=5.0, t0=0.05, eta=0.05)
-    D, d, n = 6, 3, 8
-    X = rng.standard_normal((n, D))
-    y = rng.standard_normal(n)
-    details = []
-    for model, tol in (
-        (CoveringScore(D, d, nu=0.5, seed=4), 1e-4),
-        (MlpScore(D, d, hidden=(32, 32), seed=5), 1e-3),
-    ):
-        for k in model.params:
-            model.params[k] = model.params[k] + 0.05 * rng.standard_normal(model.params[k].shape)
-        _, grads = denoising_loss_and_grad(model, X, y, schedule, seed=42)
-        base = {k: v.copy() for k, v in model.params.items()}
-        worst = 0.0
-        for _ in range(20):
-            dirs = {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
-            norm = math.sqrt(sum(float(np.sum(v * v)) for v in dirs.values()))
-            an = sum(float(np.sum(grads[k] * dirs[k])) for k in grads) / norm
-            h = 1e-5
-            for k in model.params:
-                model.params[k] = base[k] + h * dirs[k] / norm
-            lp, _ = denoising_loss_and_grad(model, X, y, schedule, seed=42)
-            for k in model.params:
-                model.params[k] = base[k] - h * dirs[k] / norm
-            lm, _ = denoising_loss_and_grad(model, X, y, schedule, seed=42)
-            for k in model.params:
-                model.params[k] = base[k]
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-12))
-        assert worst <= tol
-        details.append(f"{model.variant}: {worst:.2e} <= {tol:g}")
-    _verdict(6, time.perf_counter() - start, 60, "; ".join(details))
+    worst = check_score_gradients(n_dirs=20)
+    assert worst["covering"] <= 1e-4
+    assert worst["mlp"] <= 1e-3
+    _verdict(6, time.perf_counter() - start, 60,
+             f"covering: {worst['covering']:.2e} <= 0.0001; mlp: {worst['mlp']:.2e} <= 0.001")
 
 
 def test_criterion_07_subspace_recovery_trend():
@@ -307,8 +219,7 @@ def test_criterion_09_figure_shape_reproduction(study_run):
 
     hist_stats = {}
     for a in a_vals:
-        tag = f"{a:g}".replace("-", "m").replace(".", "p")
-        hist_stats[a] = _hist_moments(figures / f"hist_a{tag}.csv")
+        hist_stats[a] = _hist_moments(figures / f"hist_a{io.a_tag(a)}.csv")
     means = [hist_stats[a][0] for a in a_vals[:4]]
     assert all(m2 >= m1 for m1, m2 in zip(means, means[1:])), \
         "histogram means must be nondecreasing over the first four targets"
@@ -323,9 +234,12 @@ def test_criterion_09_figure_shape_reproduction(study_run):
 
 def test_criterion_10_determinism(tmp_path):
     start = time.perf_counter()
-    # Criterion 3 rerun: identical seed, byte-identical sample files.
+    # Criterion 3's sampler run, twice: identical seed, byte-identical sample files.
+    world = make_world(D=4, d=2, seed=7)
+    score = AnalyticScore(GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5))
+    schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
     for run in ("one", "two"):
-        _, _, _, batch = _criterion_3_batch(seed=11)
+        batch = run_backward(score, a=2.0, n=4096, schedule=schedule, seed=11)
         io.save_samples(tmp_path / f"c3_{run}", batch)
     assert (tmp_path / "c3_one.bin").read_bytes() == (tmp_path / "c3_two.bin").read_bytes()
     assert (tmp_path / "c3_one.json").read_bytes() == (tmp_path / "c3_two.json").read_bytes()

@@ -8,6 +8,7 @@ from rcdiff import io
 from rcdiff.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
 from rcdiff.config import load_config
 from rcdiff.pipeline import run_pipeline
+from rcdiff.validate import CHECKS
 
 SMOKE = """
 world.D = 8
@@ -166,6 +167,11 @@ class TestValidateCommand:
     def test_single_check_passes(self, capsys):
         assert main(["validate", "--check", "trace-identity"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    def test_every_check_passes(self, capsys):
+        assert main(["validate"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [[name, "PASS"] for name in CHECKS]
 
     def test_unknown_check_is_config_error(self):
         assert main(["validate", "--check", "nonsense"]) == EXIT_CONFIG

@@ -20,7 +20,6 @@ from rcdiff.score_model import (
     TrainConfig,
     ZeroScore,
     denoising_loss_and_grad,
-    denoising_objective,
     exact_objective,
     extract_subspace,
     model_from_blocks,
@@ -33,10 +32,7 @@ SCHED = DiffusionSchedule(terminal_time=5.0, t0=0.05, eta=0.05)
 
 
 def _models(D=6, d=3):
-    return [
-        (CoveringScore(D, d, nu=0.5, seed=1), 1e-4),
-        (MlpScore(D, d, hidden=(32, 32), seed=2), 1e-3),
-    ]
+    return [CoveringScore(D, d, nu=0.5, seed=1), MlpScore(D, d, hidden=(32, 32), seed=2)]
 
 
 def _perturb(model, rng, scale=0.05):
@@ -47,7 +43,7 @@ def _perturb(model, rng, scale=0.05):
 class TestShapeInvariant:
     def test_shortcut_residual_lies_in_decoder_span(self):
         rng = np.random.default_rng(0)
-        for model, _ in _models():
+        for model in _models():
             _perturb(model, rng)
             V = model.params["V"]
             Q = np.linalg.qr(V)[0]
@@ -62,7 +58,7 @@ class TestShapeInvariant:
 
     def test_batch_call_matches_rowwise(self):
         rng = np.random.default_rng(1)
-        for model, _ in _models():
+        for model in _models():
             X = rng.standard_normal((5, 6))
             y = rng.standard_normal(5)
             t = rng.uniform(0.1, 4.0, 5)
@@ -120,31 +116,6 @@ class TestCoveringHead:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("which", ["covering", "mlp"])
-    def test_directional_derivatives_match_finite_differences(self, which):
-        rng = np.random.default_rng(3)
-        model, tol = _models()[0 if which == "covering" else 1]
-        _perturb(model, rng)
-        X = rng.standard_normal((8, 6))
-        y = rng.standard_normal(8)
-        _, grads = denoising_loss_and_grad(model, X, y, SCHED, seed=42)
-        base = {k: v.copy() for k, v in model.params.items()}
-        h = 1e-5
-        for _ in range(20):
-            dirs = {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
-            norm = np.sqrt(sum(float(np.sum(v * v)) for v in dirs.values()))
-            an = sum(float(np.sum(grads[k] * dirs[k])) for k in grads) / norm
-            for k in model.params:
-                model.params[k] = base[k] + h * dirs[k] / norm
-            lp, _ = denoising_loss_and_grad(model, X, y, SCHED, seed=42)
-            for k in model.params:
-                model.params[k] = base[k] - h * dirs[k] / norm
-            lm, _ = denoising_loss_and_grad(model, X, y, SCHED, seed=42)
-            for k in model.params:
-                model.params[k] = base[k]
-            fd = (lp - lm) / (2 * h)
-            assert abs(fd - an) / max(abs(fd), abs(an), 1e-12) <= tol
-
     def test_single_row_gradient(self):
         rng = np.random.default_rng(4)
         model = CoveringScore(4, 2, nu=0.5, seed=5)
@@ -227,24 +198,6 @@ class TestObjectives:
         vals = np.sum(analytic_score(orc, Xp, y, t) ** 2, axis=1)
         ref, ref_se = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
         assert abs(val - ref) <= 3 * np.hypot(se, ref_se)
-
-    def test_objective_difference_equivalence(self):
-        # The denoising and explicit objectives differ by a constant that
-        # does not depend on the score, so differences between two fixed
-        # candidates agree within Monte Carlo error.
-        w = make_world(D=6, d=3, seed=8)
-        orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
-        bumped = GaussianDesignOracle(
-            world=w, beta_hat=w.beta_star + np.array([0.3, -0.2, 0.1]), nu=0.5
-        )
-        s1, s2 = AnalyticScore(bumped), ZeroScore()
-        n = 50_000
-        ex1, e1 = exact_objective(s1, orc, n, SCHED, seed=11)
-        ex2, e2 = exact_objective(s2, orc, n, SCHED, seed=11)
-        dn1, d1 = denoising_objective(s1, orc, n, SCHED, seed=12)
-        dn2, d2 = denoising_objective(s2, orc, n, SCHED, seed=12)
-        gap = abs((ex1 - ex2) - (dn1 - dn2))
-        assert gap <= 3 * np.hypot(np.hypot(e1, e2), np.hypot(d1, d2))
 
 
 class TestTraining:
@@ -357,7 +310,7 @@ class TestExtractSubspace:
 class TestSerialization:
     @pytest.mark.parametrize("which", ["covering", "mlp"])
     def test_roundtrip_preserves_scores(self, which):
-        model, _ = _models()[0 if which == "covering" else 1]
+        model = _models()[0 if which == "covering" else 1]
         meta, blocks = model.to_blocks()
         clone = model_from_blocks(meta, blocks)
         rng = np.random.default_rng(4)
