@@ -2,11 +2,11 @@
 
 Each check exercises one cross-validation pair: a formula against an
 independent numerical oracle, or two mathematically equal computation paths
-against each other.  A ``check_*`` function takes its sizes as keywords and
-returns its measurement.  ``rcdiff validate`` runs every check at the small
-default sizes against the thresholds in ``CHECKS``, as a quick health probe
-of an installation.  The acceptance criteria run the same code at their own
-sizes and assert their own tolerances: score-quadrature is criterion 1,
+against each other, and returns its measurement.  ``rcdiff validate`` runs
+every check at its default size against the thresholds in ``CHECKS``, as a
+quick health probe of an installation.  The acceptance criteria run the same
+code and assert their own tolerances, at their own sizes where a check takes
+a size keyword (``n_points``, ``n_mc``): score-quadrature is criterion 1,
 prop1-equivalence 2, sampler-moments 3, trace-identity 4, score-gradients 6.
 """
 
@@ -60,12 +60,12 @@ def check_schedule_identity() -> float:
     return float(np.max(np.abs(alpha_of(t) ** 2 + h_of(t) - 1.0)))
 
 
-def check_trace_identity(instances: int = 100) -> float:
+def check_trace_identity() -> float:
     """Worst relative gap between the full and the reduced projected trace."""
     rng = np.random.default_rng(0)
     d, D = 5, 12
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         lam = float(rng.uniform(0.1, 3.0))
         G = rng.standard_normal((D, d))
         A = np.linalg.qr(G)[0]
@@ -114,7 +114,7 @@ def check_prop1_equivalence(n_mc: int = 40_000) -> tuple[float, float]:
     return gap, 3.0 * float(np.hypot(np.hypot(se_ex1, se_ex2), np.hypot(se_dn1, se_dn2)))
 
 
-def check_score_gradients(n_dirs: int = 20) -> dict:
+def check_score_gradients() -> dict:
     """Worst relative gap, per variant, between the analytic directional
     derivative of the denoising loss and a central difference."""
     rng = np.random.default_rng(3)
@@ -129,7 +129,7 @@ def check_score_gradients(n_dirs: int = 20) -> dict:
         _, grads = denoising_loss_and_grad(model, X, y, schedule, seed=42)
         worst = 0.0
         base = {k: v.copy() for k, v in model.params.items()}
-        for _ in range(n_dirs):
+        for _ in range(20):
             dirs = {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
             norm = np.sqrt(sum(float(np.sum(v * v)) for v in dirs.values()))
             an = sum(float(np.sum(grads[k] * dirs[k])) for k in grads) / norm
@@ -148,13 +148,13 @@ def check_score_gradients(n_dirs: int = 20) -> dict:
     return results
 
 
-def check_sampler_moments(n: int = 4096) -> tuple[float, float]:
-    """Largest mean error and relative covariance gap of ``n`` oracle-score
+def check_sampler_moments() -> tuple[float, float]:
+    """Largest mean error and relative covariance gap of 4096 oracle-score
     samples against the closed-form law at the early-stop time."""
     world = make_world(D=4, d=2, seed=7)
     oracle = GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5)
     schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-    batch = run_backward(AnalyticScore(oracle), a=2.0, n=n, schedule=schedule, seed=11)
+    batch = run_backward(AnalyticScore(oracle), a=2.0, n=4096, schedule=schedule, seed=11)
     law = noised_conditional_law(oracle, 2.0, schedule.t0)
     mean_err = float(np.max(np.abs(batch.X.mean(axis=0) - law[0])))
     return mean_err, moment_discrepancy(batch, law)[1]
