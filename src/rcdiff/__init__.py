@@ -52,7 +52,6 @@ from .score_model import (
     train,
 )
 from .metrics import (
-    MetricsReport,
     build_metrics_report,
     moment_discrepancy,
     off_support_deviation,

@@ -1,10 +1,16 @@
-"""Evaluation quantities for generated populations.
+"""Evaluation quantities for generated populations, and the per-cell record.
 
 Covers subspace recovery (projector-difference Frobenius angle), support
 fidelity (mean orthogonal distance), reward quality (suboptimality against
 the target value and its three-part decomposition into reward-estimation,
 on-support, and off-support errors), moment discrepancies against a
-reference Gaussian law, and reward histograms.
+reference Gaussian law, and reward histograms.  The helpers take the
+generated points as an (n, D) array.
+
+``build_metrics_report`` gathers them for one (seed, target) cell into the
+record that the pipeline writes as ``metrics_a<tag>.json``: a plain dict
+whose literal there is the only definition of the cell's fields.
+``pipeline.CSV_COLUMNS`` projects it onto the cell's ``metrics.csv`` row.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .oracle import GaussianDesignOracle, sample_conditional_latents
+from .oracle import (
+    GaussianDesignOracle,
+    conditional_latent_law,
+    distro_shift_surrogate,
+    noised_conditional_law,
+    sample_conditional_latents,
+)
 from .regression import RidgeEstimate
 from .rng import as_generator
 from .sampler import SampleBatch
@@ -36,16 +48,14 @@ def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def off_support_deviation(batch, world: SubspaceWorld) -> float:
+def off_support_deviation(X: np.ndarray, world: SubspaceWorld) -> float:
     """Mean Euclidean distance of the points from the true support."""
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
     _, x_perp = decompose(world, X)
     return float(np.mean(np.linalg.norm(x_perp, axis=1)))
 
 
-def suboptimality(batch, world: SubspaceWorld, a: float) -> tuple[float, float]:
+def suboptimality(X: np.ndarray, world: SubspaceWorld, a: float) -> tuple[float, float]:
     """Gap between the target value and the mean realized reward."""
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
     avg_reward = float(np.mean(true_reward(world, X)))
     return a - avg_reward, avg_reward
 
@@ -62,7 +72,7 @@ class Decomposition:
 
 
 def subopt_decomposition(
-    batch,
+    X: np.ndarray,
     world: SubspaceWorld,
     est: RidgeEstimate,
     oracle: GaussianDesignOracle,
@@ -77,7 +87,6 @@ def subopt_decomposition(
     embedded through the true subspace; the off-support term is reported as
     a magnitude regardless of the world's reward sign convention.
     """
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
     rng = as_generator(seed)
     z_ref = sample_conditional_latents(oracle, a, n_ref, rng)
     x_ref = z_ref @ world.A.T
@@ -104,8 +113,6 @@ def e1_exact_gaussian(
     a: float,
 ) -> float:
     """Closed form of the reward-estimation error (folded normal mean)."""
-    from .oracle import conditional_latent_law
-
     mean, cov = conditional_latent_law(oracle, a)
     v = world.A.T @ (est.theta_hat - world.theta_star)
     m = float(v @ mean)
@@ -117,9 +124,8 @@ def e1_exact_gaussian(
     )
 
 
-def moment_discrepancy(batch, law: tuple) -> tuple[float, float]:
+def moment_discrepancy(X: np.ndarray, law: tuple) -> tuple[float, float]:
     """Mean gap and relative covariance gap against a reference Gaussian law."""
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
     mean, cov = law
     emp_mean = X.mean(axis=0)
     centered = X - emp_mean
@@ -129,78 +135,16 @@ def moment_discrepancy(batch, law: tuple) -> tuple[float, float]:
     return mean_gap, cov_gap
 
 
-@dataclass(frozen=True)
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-
-
-def reward_histogram(batch, world: SubspaceWorld, bins: int = 50) -> Histogram:
-    """Histogram of realized rewards."""
+def reward_histogram(X: np.ndarray, world: SubspaceWorld, bins: int = 50) -> tuple:
+    """``(counts, edges)`` of the realized rewards."""
     if bins < 1:
         raise ValidationError("bins must be at least 1")
-    X = batch.X if isinstance(batch, SampleBatch) else np.atleast_2d(batch)
-    rewards = true_reward(world, X)
-    counts, edges = np.histogram(rewards, bins=bins)
-    return Histogram(edges=edges, counts=counts)
+    return np.histogram(true_reward(world, X), bins=bins)
 
 
 # ---------------------------------------------------------------------------
-# Per-cell report
+# Per-cell record
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricsReport:
-    a: float
-    n: int
-    subspace_angle: float
-    off_support_mean: float
-    avg_reward: float
-    subopt: float
-    e1: float
-    e2: float
-    e3: float
-    distro_shift: float
-    mean_gap: float
-    cov_gap: float
-    histogram_edges: list
-    histogram_counts: list
-    seed: object
-    score_id: str
-
-    def __post_init__(self):
-        scalars = (
-            self.subspace_angle, self.off_support_mean, self.avg_reward,
-            self.subopt, self.e1, self.e2, self.e3, self.distro_shift,
-            self.mean_gap, self.cov_gap,
-        )
-        if not all(np.isfinite(v) for v in scalars):
-            raise ValidationError("metrics report contains non-finite values")
-        if abs(self.subopt - (self.a - self.avg_reward)) > 0.0:
-            raise ValidationError("subopt must equal a - avg_reward exactly")
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "n": self.n,
-            "seed": self.seed,
-            "score_id": self.score_id,
-            "subspace_angle": self.subspace_angle,
-            "off_support_mean": self.off_support_mean,
-            "avg_reward": self.avg_reward,
-            "subopt": self.subopt,
-            "e1": self.e1,
-            "e2": self.e2,
-            "e3": self.e3,
-            "distro_shift": self.distro_shift,
-            "distro_shift_kind": "known-sigma-surrogate",
-            "moment_discrepancy": {"mean_gap": self.mean_gap, "cov_gap": self.cov_gap},
-            "histogram": {
-                "edges": self.histogram_edges,
-                "counts": self.histogram_counts,
-            },
-        }
-
 
 def build_metrics_report(
     batch: SampleBatch,
@@ -212,31 +156,44 @@ def build_metrics_report(
     n_ref: int = 20000,
     bins: int = 50,
     seed,
-) -> MetricsReport:
-    """Evaluate one generated batch against its target value."""
-    from .oracle import distro_shift_surrogate, noised_conditional_law
+) -> dict:
+    """Evaluate one generated batch against its target value.
 
-    a = batch.a
-    subopt, avg_reward = suboptimality(batch, world, a)
-    dec = subopt_decomposition(batch, world, est, oracle, a, n_ref, seed=seed)
+    Returns the cell's record, the dict written as ``metrics_a<tag>.json``;
+    this literal is the one definition of its fields.  Raises
+    ``ValidationError`` if a float in it is not finite or if ``subopt`` is
+    not exactly ``a - avg_reward``, so a record that fails either check
+    never reaches disk.
+    """
+    a, X = batch.a, batch.X
+    subopt, avg_reward = suboptimality(X, world, a)
+    dec = subopt_decomposition(X, world, est, oracle, a, n_ref, seed=seed)
     law = noised_conditional_law(oracle, a, batch.schedule.t0)
-    mean_gap, cov_gap = moment_discrepancy(batch, law)
-    hist = reward_histogram(batch, world, bins=bins)
-    return MetricsReport(
-        a=a,
-        n=batch.n,
-        subspace_angle=subspace_angle(V, world.A),
-        off_support_mean=off_support_deviation(batch, world),
-        avg_reward=avg_reward,
-        subopt=subopt,
-        e1=dec.e1,
-        e2=dec.e2,
-        e3=dec.e3,
-        distro_shift=distro_shift_surrogate(oracle, a)[1],
-        mean_gap=mean_gap,
-        cov_gap=cov_gap,
-        histogram_edges=[float(v) for v in hist.edges],
-        histogram_counts=[int(v) for v in hist.counts],
-        seed=batch.seed,
-        score_id=batch.score_id,
-    )
+    mean_gap, cov_gap = moment_discrepancy(X, law)
+    counts, edges = reward_histogram(X, world, bins=bins)
+    record = {
+        "a": a,
+        "n": batch.n,
+        "seed": batch.seed,
+        "score_id": batch.score_id,
+        "subspace_angle": subspace_angle(V, world.A),
+        "off_support_mean": off_support_deviation(X, world),
+        "avg_reward": avg_reward,
+        "subopt": subopt,
+        "e1": dec.e1,
+        "e2": dec.e2,
+        "e3": dec.e3,
+        "distro_shift": distro_shift_surrogate(oracle, a)[1],
+        "distro_shift_kind": "known-sigma-surrogate",
+        "moment_discrepancy": {"mean_gap": mean_gap, "cov_gap": cov_gap},
+        "histogram": {
+            "edges": [float(v) for v in edges],
+            "counts": [int(v) for v in counts],
+        },
+    }
+    scalars = [*record.values(), mean_gap, cov_gap]
+    if not all(math.isfinite(v) for v in scalars if isinstance(v, float)):
+        raise ValidationError("metrics report contains non-finite values")
+    if subopt != a - avg_reward:
+        raise ValidationError("subopt must equal a - avg_reward exactly")
+    return record

@@ -10,7 +10,7 @@ a pure function of the resolved configuration.
 Artifacts under the output directory::
 
     manifest.json                resolved config, score source, file hashes, timings
-    metrics.csv                  one row per cell (stable schema)
+    metrics.csv                  one row per cell: its record through ``CSV_COLUMNS``
     seed_<s>/world.rctb          ground truth tensors
     seed_<s>/unlabeled.bin       unlabeled features (matrix container)
     seed_<s>/labeled.bin/.csv    labeled features + labels
@@ -18,7 +18,7 @@ Artifacts under the output directory::
     seed_<s>/pseudo_labels.bin   curated labels for the unlabeled features
     seed_<s>/score_model.rctb    fitted score model
     seed_<s>/samples_a<a>.bin/.json   generated batch per target value
-    seed_<s>/metrics_a<a>.json   per-cell metrics report
+    seed_<s>/metrics_a<a>.json   per-cell record (``metrics.build_metrics_report``)
 """
 
 from __future__ import annotations
@@ -40,10 +40,13 @@ from .sampler import run_backward
 from .score_model import CoveringScore, MlpScore, extract_subspace, train
 from .world import LabeledDataset, UnlabeledDataset, generate_datasets, make_world
 
-CSV_COLUMNS = [
-    "a", "seed", "subopt", "avg_reward", "e1", "e2", "e3",
-    "angle", "offsupport", "shift",
-]
+# metrics.csv column -> per-cell record key, in header order.  None marks the
+# seed column: the stage's root seed, not the record's per-cell stream entropy.
+CSV_COLUMNS = {
+    "a": "a", "seed": None, "subopt": "subopt", "avg_reward": "avg_reward",
+    "e1": "e1", "e2": "e2", "e3": "e3", "angle": "subspace_angle",
+    "offsupport": "off_support_mean", "shift": "distro_shift",
+}
 
 # Stage codes for seed derivation (documented; never renumber).
 SEED_WORLD = 10
@@ -247,27 +250,25 @@ class SeedStages:
         return batch
 
     def metrics(self, batch, world, est, oracle, V) -> dict:
-        """Score one generated batch; returns its ``metrics.csv`` row."""
+        """Score one generated batch and write its record; returns its
+        ``metrics.csv`` row."""
         cfg, a = self.cfg, batch.a
-        report = self._timed(f"metrics.a{io.a_tag(a)}", lambda: build_metrics_report(
+        record = self._timed(f"metrics.a{io.a_tag(a)}", lambda: build_metrics_report(
             batch, world, est, oracle, V,
             n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
             seed=derive(self.seed, SEED_METRICS, cfg["sweep.a"].index(a)),
         ))
-        io.write_json(self.sdir / f"metrics_a{io.a_tag(a)}.json", report.to_dict())
-        self.log(f"seed {self.seed} a={a:g}: reward {report.avg_reward:+.3f} "
-                 f"offsupport {report.off_support_mean:.3f}")
-        return {
-            "a": a, "seed": self.seed, "subopt": report.subopt,
-            "avg_reward": report.avg_reward, "e1": report.e1, "e2": report.e2,
-            "e3": report.e3, "angle": report.subspace_angle,
-            "offsupport": report.off_support_mean, "shift": report.distro_shift,
-        }
+        io.write_json(self.sdir / f"metrics_a{io.a_tag(a)}.json", record)
+        row = {col: self.seed if key is None else record[key]
+               for col, key in CSV_COLUMNS.items()}
+        self.log(f"seed {self.seed} a={a:g}: reward {row['avg_reward']:+.3f} "
+                 f"offsupport {row['offsupport']:.3f}")
+        return row
 
 
 def _write_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        w = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
         w.writeheader()
         for row in rows:
             w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
@@ -276,7 +277,7 @@ def _write_csv(path, rows) -> None:
 def read_metrics_csv(path) -> list:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
+        if reader.fieldnames != list(CSV_COLUMNS):
             raise RcdiffError(f"unexpected metrics.csv schema: {reader.fieldnames}")
         return [
             {k: (int(v) if k == "seed" else float(v)) for k, v in row.items()}

@@ -46,6 +46,8 @@ from .regression import PseudoLabeledDataset
 from .rng import as_generator, derive
 
 SPD_FLOOR = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
+VAL_SIZE = 512  # largest validation hold-out of ``train``
 
 
 def _as_batch(x, y, t):
@@ -86,13 +88,6 @@ class CoveringScore:
                 "sigma_inv_tril": np.eye(d),
             }
 
-    # -- parameter views -------------------------------------------------
-
-    def sigma_inv(self) -> np.ndarray:
-        """Symmetric latent precision candidate (mirror of the lower triangle)."""
-        W = self.params["sigma_inv_tril"]
-        return np.tril(W) + np.tril(W, -1).T
-
     def _head(self, alpha, h):
         """Eigenbasis of ``S`` and the factors of ``B_t`` in it.
 
@@ -130,9 +125,6 @@ class CoveringScore:
         return out[0] if x.ndim == 1 else out
 
     # -- pathwise loss and exact gradients ---------------------------------
-
-    def loss(self, X, y, t, eps) -> float:
-        return pathwise_denoising_loss(self, X, y, t, eps)
 
     def loss_and_grad(self, X, y, t, eps):
         X = np.asarray(X, dtype=float)
@@ -265,9 +257,6 @@ class MlpScore:
         V = self.params["V"]
         out = (self.psi(X @ V, yv, tv) @ V.T - X) / h_of(tv)[:, None]
         return out[0] if single else out
-
-    def loss(self, X, y, t, eps) -> float:
-        return pathwise_denoising_loss(self, X, y, t, eps)
 
     def loss_and_grad(self, X, y, t, eps):
         X = np.asarray(X, dtype=float)
@@ -421,11 +410,7 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 3e-3
     lr_decay: float = 1.0     # per-epoch geometric factor
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    val_size: int = 512
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -446,8 +431,8 @@ class TrainResult:
 class Adam:
     """First-order moment-based optimizer with bias correction."""
 
-    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: dict, lr: float):
+        self.lr, self.b1, self.b2, self.eps = lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -466,14 +451,14 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
           schedule: DiffusionSchedule) -> TrainResult:
     """Denoising training loop: seeded shuffling, per-row time draws, Adam.
 
-    A fixed validation batch (the trailing ``val_size`` rows, with frozen
+    A fixed validation batch (the trailing ``VAL_SIZE`` rows, with frozen
     time and noise draws) is evaluated before training and after every
     epoch.  A non-finite loss aborts with a diagnostic snapshot.
     """
     n = curated.n
     if n == 0:
         raise ValidationError("curated dataset must be nonempty")
-    n_val = min(config.val_size, max(n // 8, 1))
+    n_val = min(VAL_SIZE, max(n // 8, 1))
     X_train, y_train = curated.X[: n - n_val], curated.y_hat[: n - n_val]
     X_val, y_val = curated.X[n - n_val:], curated.y_hat[n - n_val:]
     if X_train.shape[0] == 0:
@@ -484,10 +469,9 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
     t_val = val_rng.uniform(schedule.t0, schedule.terminal_time, X_val.shape[0])
     eps_val = val_rng.standard_normal(X_val.shape)
 
-    opt = Adam(model.params, config.learning_rate, config.beta1, config.beta2,
-               config.adam_eps)
+    opt = Adam(model.params, config.learning_rate)
     loss_trace: list = []
-    val_trace = [model.loss(X_val, y_val, t_val, eps_val)]
+    val_trace = [pathwise_denoising_loss(model, X_val, y_val, t_val, eps_val)]
     n_train = X_train.shape[0]
     step = 0
     for epoch in range(config.epochs):
@@ -505,7 +489,7 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
             batch_losses.append(loss)
             step += 1
         loss_trace.append(float(np.mean(batch_losses)))
-        val_trace.append(model.loss(X_val, y_val, t_val, eps_val))
+        val_trace.append(pathwise_denoising_loss(model, X_val, y_val, t_val, eps_val))
     return TrainResult(model=model, loss_trace=loss_trace, val_trace=val_trace)
 
 

@@ -157,7 +157,7 @@ def check_sampler_moments() -> tuple[float, float]:
     batch = run_backward(AnalyticScore(oracle), a=2.0, n=4096, schedule=schedule, seed=11)
     law = noised_conditional_law(oracle, 2.0, schedule.t0)
     mean_err = float(np.max(np.abs(batch.X.mean(axis=0) - law[0])))
-    return mean_err, moment_discrepancy(batch, law)[1]
+    return mean_err, moment_discrepancy(batch.X, law)[1]
 
 
 GRADIENT_TOLS = {"covering": 1e-4, "mlp": 1e-3}

@@ -21,7 +21,6 @@ from .errors import DimensionError, ValidationError
 from .rng import as_generator
 
 ORTHO_TOL = 1e-10
-SUPPORT_TOL = 1e-8
 
 
 def _check_orthonormal(A: np.ndarray, tol: float = ORTHO_TOL) -> None:

@@ -85,6 +85,21 @@ class TestPipelineCommand:
         assert len(rows) == 2
         assert {row["a"] for row in rows} == {0.0, 2.0}
 
+    def test_csv_rows_project_the_cell_records(self, smoke_cfg):
+        from rcdiff.pipeline import CSV_COLUMNS, read_metrics_csv
+
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        rows = read_metrics_csv(out / "metrics.csv")
+        assert len(rows) == 2
+        for row in rows:
+            sdir = out / f"seed_{row['seed']}"
+            record = io.read_json(sdir / f"metrics_a{io.a_tag(row['a'])}.json")
+            # The record keeps the cell's stream entropy, rooted at the seed.
+            assert record["seed"][0] == row["seed"]
+            assert row == {col: row["seed"] if key is None else record[key]
+                           for col, key in CSV_COLUMNS.items()}
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("world.unknown = 1\n")

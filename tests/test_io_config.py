@@ -239,7 +239,7 @@ class TestCsvSchema:
     def test_golden_column_order(self):
         from rcdiff.pipeline import CSV_COLUMNS
 
-        assert CSV_COLUMNS == [
+        assert list(CSV_COLUMNS) == [
             "a", "seed", "subopt", "avg_reward", "e1", "e2", "e3",
             "angle", "offsupport", "shift",
         ]

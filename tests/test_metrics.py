@@ -1,4 +1,4 @@
-"""Evaluation metrics: angles, deviations, suboptimality, histograms."""
+"""Evaluation metrics: angles, deviations, suboptimality, histograms, the record."""
 
 import math
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rcdiff.errors import DimensionError, ValidationError
+from rcdiff import metrics
 from rcdiff.metrics import (
-    MetricsReport,
+    build_metrics_report,
     e1_exact_gaussian,
     moment_discrepancy,
     off_support_deviation,
@@ -96,7 +97,7 @@ class TestOffSupportDeviation:
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.0025)
         batch = run_backward(AnalyticScore(orc), a=1.0, n=2048, schedule=sched, seed=5)
         predicted = math.sqrt(sched.t0 * (64 - 16))
-        assert abs(off_support_deviation(batch, w) - predicted) / predicted < 0.15
+        assert abs(off_support_deviation(batch.X, w) - predicted) / predicted < 0.15
 
 
 class TestSuboptimality:
@@ -220,24 +221,24 @@ class TestRewardHistogram:
     def test_single_point_single_bin(self):
         w = make_world(D=4, d=2, seed=0)
         x = (w.A @ np.array([0.5, -0.5])).reshape(1, -1)
-        hist = reward_histogram(x, w, bins=1)
-        assert hist.counts.tolist() == [1]
-        assert hist.counts.sum() == 1
+        counts, _ = reward_histogram(x, w, bins=1)
+        assert counts.tolist() == [1]
+        assert counts.sum() == 1
 
     def test_counts_sum_and_monotone_edges(self):
         w = make_world(D=4, d=2, seed=1)
         X = np.random.default_rng(2).standard_normal((1000, 2)) @ w.A.T
-        hist = reward_histogram(X, w, bins=17)
-        assert hist.counts.sum() == 1000
-        assert np.all(np.diff(hist.edges) > 0)
+        counts, edges = reward_histogram(X, w, bins=17)
+        assert counts.sum() == 1000
+        assert np.all(np.diff(edges) > 0)
 
     def test_standard_normal_reward_mean(self):
         w = make_world(D=6, d=3, offsupport_coeff=0.0, seed=3)
         z = np.random.default_rng(4).standard_normal((100_000, 3))
         # theta* has unit norm, so on-support rewards are standard normal.
-        hist = reward_histogram(z @ w.A.T, w, bins=100)
-        centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-        assert abs(np.sum(centers * hist.counts) / hist.counts.sum()) < 0.02
+        counts, edges = reward_histogram(z @ w.A.T, w, bins=100)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        assert abs(np.sum(centers * counts) / counts.sum()) < 0.02
 
     def test_rejects_empty_binning(self):
         w = make_world(D=4, d=2, seed=0)
@@ -246,26 +247,41 @@ class TestRewardHistogram:
 
 
 class TestMetricsReport:
-    def _report(self, **overrides):
-        base = dict(
-            a=2.0, n=10, subspace_angle=0.1, off_support_mean=0.2,
-            avg_reward=1.5, subopt=0.5, e1=0.01, e2=0.02, e3=0.03,
-            distro_shift=1.1, mean_gap=0.05, cov_gap=0.04,
-            histogram_edges=[0.0, 1.0], histogram_counts=[10],
-            seed=0, score_id="zero",
-        )
-        base.update(overrides)
-        return MetricsReport(**base)
+    def _report(self):
+        from rcdiff.sampler import SampleBatch
 
-    def test_subopt_identity_enforced(self):
-        with pytest.raises(ValidationError):
-            self._report(subopt=0.6)
+        w = make_world(D=6, d=2, seed=0)
+        orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
+        X = np.random.default_rng(1).standard_normal((40, 6))
+        sched = DiffusionSchedule(terminal_time=2.0, t0=0.05, eta=0.05)
+        batch = SampleBatch(X=X, a=2.0, schedule=sched, score_id="zero", seed=[0, 20, 1])
+        return build_metrics_report(batch, w, _unit_est(w), orc, w.A, n_ref=100, bins=4,
+                                    seed=3)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            self._report(e1=float("nan"))
+    def test_rejects_non_finite(self, monkeypatch):
+        monkeypatch.setattr(metrics, "distro_shift_surrogate",
+                            lambda oracle, a: (float("nan"), float("nan")))
+        with pytest.raises(ValidationError, match="non-finite"):
+            self._report()
 
-    def test_dict_roundtrip_fields(self):
-        d = self._report().to_dict()
-        assert d["moment_discrepancy"] == {"mean_gap": 0.05, "cov_gap": 0.04}
-        assert d["histogram"]["counts"] == [10]
+    def test_subopt_identity_enforced(self, monkeypatch):
+        exact = metrics.suboptimality
+        monkeypatch.setattr(metrics, "suboptimality",
+                            lambda X, w, a: (exact(X, w, a)[0] + 0.1, exact(X, w, a)[1]))
+        with pytest.raises(ValidationError, match="subopt"):
+            self._report()
+
+    def test_record_layout(self):
+        record = self._report()
+        assert sorted(record) == [
+            "a", "avg_reward", "distro_shift", "distro_shift_kind", "e1", "e2", "e3",
+            "histogram", "moment_discrepancy", "n", "off_support_mean", "score_id",
+            "seed", "subopt", "subspace_angle",
+        ]
+        assert sorted(record["moment_discrepancy"]) == ["cov_gap", "mean_gap"]
+        assert sorted(record["histogram"]) == ["counts", "edges"]
+        assert record["distro_shift_kind"] == "known-sigma-surrogate"
+        assert (record["a"], record["n"], record["seed"]) == (2.0, 40, [0, 20, 1])
+        assert record["subopt"] == record["a"] - record["avg_reward"]
+        assert sum(record["histogram"]["counts"]) == 40
+        assert len(record["histogram"]["edges"]) == 5

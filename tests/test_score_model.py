@@ -14,6 +14,9 @@ from rcdiff.oracle import (
 )
 from rcdiff.regression import default_nu, fit_ridge, pseudo_label
 from rcdiff.score_model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     SPD_FLOOR,
     CoveringScore,
     MlpScore,
@@ -169,7 +172,7 @@ class TestLossValues:
         y = rng.standard_normal(64)
         t = rng.uniform(0.1, 3.0, 64)
         eps = rng.standard_normal(X.shape)
-        got = model.loss(X, y, t, eps)
+        got = pathwise_denoising_loss(model, X, y, t, eps)
         expected = float(np.mean(
             np.sum((alpha_of(t)[:, None] * X / h_of(t)[:, None]) ** 2, axis=1)
         ))
@@ -210,7 +213,7 @@ class TestTraining:
     def test_reference_training_config_is_expressible(self):
         cfg = TrainConfig(batch_size=32, epochs=10, learning_rate=8e-5)
         assert (cfg.batch_size, cfg.epochs, cfg.learning_rate) == (32, 10, 8e-5)
-        assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_training_improves_validation_loss(self):
         w = make_world(D=6, d=2, seed=0)
@@ -259,7 +262,8 @@ class TestTraining:
                           lr_decay=0.97, seed=4), sched)
         V = extract_subspace(model)
         R = w.A.T @ V  # rotation aligning the learned frame to the truth
-        aligned = R @ model.sigma_inv() @ R.T
+        W = model.params["sigma_inv_tril"]
+        aligned = R @ (np.tril(W) + np.tril(W, -1).T) @ R.T
         truth = np.linalg.inv(sigma)
         rel = np.linalg.norm(aligned - truth) / np.linalg.norm(truth)
         assert rel <= 0.10
