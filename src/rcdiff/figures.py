@@ -3,8 +3,8 @@
 Aggregates the per-cell metrics of a pipeline run into per-target curves
 (mean with an error bar of twice the standard deviation over seeds) for the
 average reward, the distribution-shift surrogate, and the off-support
-deviation, plus pooled reward histograms per target value (shared uniform
-bins over the pooled sweep range).
+deviation, plus pooled reward histograms per target value
+(``metrics.histogram_bins`` shared uniform bins over the pooled sweep range).
 """
 
 from __future__ import annotations
@@ -82,22 +82,21 @@ def emit_figures(run_dir, out_dir=None, log=lambda msg: None) -> Path:
 
 
 def _emit_histograms(run_dir, out, rows, log) -> None:
+    bins = io.read_json(run_dir / "manifest.json")["config"]["metrics.histogram_bins"]
     a_values = sorted({row["a"] for row in rows})
-    seeds = sorted({row["seed"] for row in rows})
+    worlds = {seed: io.load_world(run_dir / f"seed_{seed}" / "world.rctb")
+              for seed in sorted({row["seed"] for row in rows})}
     rewards = {}
     for a in a_values:
-        pooled = []
-        for seed in seeds:
-            sdir = run_dir / f"seed_{seed}"
-            world = io.load_world(sdir / "world.rctb")
-            batch = io.load_samples(sdir / f"samples_a{io.a_tag(a)}")
-            pooled.append(true_reward(world, batch.X))
-        rewards[a] = np.concatenate(pooled)
+        tag = io.a_tag(a)
+        rewards[a] = np.concatenate([
+            true_reward(world, io.load_samples(run_dir / f"seed_{seed}" / f"samples_a{tag}").X)
+            for seed, world in worlds.items()])
     lo = min(float(v.min()) for v in rewards.values())
     hi = max(float(v.max()) for v in rewards.values())
     series = []
     for a in a_values:
-        counts, edges = np.histogram(rewards[a], bins=50, range=(lo, hi))
+        counts, edges = np.histogram(rewards[a], bins=bins, range=(lo, hi))
         path = out / f"hist_a{io.a_tag(a)}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

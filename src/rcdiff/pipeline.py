@@ -13,7 +13,9 @@ Artifacts under the output directory::
     metrics.csv                  one row per cell: its record through ``CSV_COLUMNS``
     seed_<s>/world.rctb          ground truth tensors
     seed_<s>/unlabeled.bin       unlabeled features (matrix container)
-    seed_<s>/labeled.bin/.csv    labeled features + labels
+    seed_<s>/labeled.bin         labeled features (matrix container)
+    seed_<s>/labeled_y.bin       their labels, one column
+    seed_<s>/labeled.csv         features and labels together, as text
     seed_<s>/ridge.rctb          reward estimate
     seed_<s>/pseudo_labels.bin   curated labels for the unlabeled features
     seed_<s>/score_model.rctb    fitted score model

@@ -19,12 +19,17 @@ parameterizations:
 * ``mlp``: a fully-connected rectified-linear network on the features
   ``(u, y, t, alpha(t), h(t))``.
 
+Each variant writes its forward once, ``_forward(X, y, t) -> (s, cache)``,
+and its backward once, ``_grads``; a shared base builds the score call, the
+loss with its gradients and ``score_id`` from the two.
+
 Training minimizes the denoising objective: for a clean pair ``(x, y)``,
-time ``t ~ U[t0, T]`` and ``x' ~ N(alpha(t) x, h(t) I)``, the target is
-``-(x' - alpha(t) x)/h(t)`` and the loss is the mean squared error of the
-model against it.  All gradients are computed in closed form (no autodiff)
-and are exact for the sampled noise, so they match finite differences
-pathwise.
+time ``t ~ U[t0, T]`` and ``x' = alpha(t) x + sqrt(h(t)) eps``, the target
+is ``-eps/sqrt(h(t))`` and the loss is the mean squared error of the model
+against it.  That noising and target (``_noised``) and the ``(t, eps)`` draw
+(``_time_and_noise``) are each written once.  All gradients are computed in
+closed form (no autodiff) and are exact for the sampled noise, so they match
+finite differences pathwise.
 
 Score callables follow one convention throughout the package:
 ``s(x, y, t) -> score`` where ``x`` is (n, D) or (D,), ``y`` is scalar or
@@ -50,16 +55,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominato
 VAL_SIZE = 512  # largest validation hold-out of ``train``
 
 
-def _as_batch(x, y, t):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    n = X.shape[0]
-    yv = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,)).astype(float)
-    tv = np.broadcast_to(np.asarray(t, dtype=float).ravel(), (n,)).astype(float)
-    return X, yv, tv, single
-
-
 class ZeroScore:
     """Trivial baseline: identically zero score."""
 
@@ -69,7 +64,39 @@ class ZeroScore:
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-class CoveringScore:
+class _EncoderDecoderScore:
+    """Score call, loss and id shared by the encoder-decoder variants.
+
+    A variant supplies ``_forward(X, y, t) -> (s, cache)`` on a 2-D ``X``
+    and ``_grads(cache, e)``: the gradients of ``sum ||e||^2`` for the
+    residual ``e = s - target``.
+    """
+
+    def __call__(self, x, y, t):
+        x = np.asarray(x, dtype=float)
+        s, _ = self._forward(np.atleast_2d(x), y, t)
+        return s[0] if x.ndim == 1 else s
+
+    def loss_and_grad(self, X, y, t, eps):
+        """Pathwise denoising loss for fixed draws ``(t, eps)``, exact gradients."""
+        Xp, target = _noised(X, t, eps)
+        s, cache = self._forward(Xp, y, t)
+        e = s - target
+        n = Xp.shape[0]
+        grads = self._grads(cache, e)
+        return float(np.vdot(e, e)) / n, {k: g / n for k, g in grads.items()}
+
+    @property
+    def score_id(self) -> str:
+        meta, blocks = self.to_blocks()
+        sha = hashlib.sha256(json.dumps(meta, sort_keys=True).encode())
+        for name in sorted(blocks):
+            sha.update(name.encode())
+            sha.update(np.ascontiguousarray(blocks[name], dtype=float).tobytes())
+        return "model:" + sha.hexdigest()[:16]
+
+
+class CoveringScore(_EncoderDecoderScore):
     """Encoder-decoder score with the parametric Gaussian-design head."""
 
     variant = "covering"
@@ -108,50 +135,29 @@ class CoveringScore:
         g = dinv * bq[:, None]
         return Q, self.params["V"] @ Q, bq, (dinv, g, c / (1.0 + c * (bq @ g)))
 
-    # -- forward ----------------------------------------------------------
-
-    def __call__(self, x, y, t):
-        x = np.asarray(x, dtype=float)
-        X = np.atleast_2d(x)
+    def _forward(self, X, y, t):
         alpha, h = alpha_of(t), h_of(t)
-        _, VQ, bq, B = self._head(alpha, h)
+        c = h / self.nu**2
+        y = np.ravel(y)
+        Q, VQ, bq, B = self._head(alpha, h)
         # Rows of X are columns here, so a shared or a per-row time broadcasts
-        # the same way along the last axis.
-        w = alpha * (VQ.T @ X.T) + bq[:, None] * ((h / self.nu**2) * np.ravel(y))
-        out = (alpha * _b_apply(B, w)).T @ VQ.T
+        # the same way along the last axis.  mq = Q^T B w, in the eigenbasis.
+        mq = _b_apply(B, alpha * (VQ.T @ X.T) + bq[:, None] * (c * y))
+        out = (alpha * mq).T @ VQ.T
         # In place: a fresh (n, D) temporary costs more than the arithmetic.
         out -= X
         out /= h[..., None]
-        return out[0] if x.ndim == 1 else out
+        return out, (X, y, alpha, h, c, Q, VQ, B, mq)
 
-    # -- pathwise loss and exact gradients ---------------------------------
-
-    def loss_and_grad(self, X, y, t, eps):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        n = X.shape[0]
+    def _grads(self, cache, e):
+        X, y, alpha, h, c, Q, VQ, B, mq = cache
         b = self.params["beta_tilde"]
-        alpha, h = alpha_of(t), h_of(t)
-        c = h / self.nu**2
-        sqh = np.sqrt(h)
-
-        Xp = alpha[:, None] * X + sqh[:, None] * eps
-        r = -eps / sqh[:, None]
-
-        # m = B w and p = B q, applied in the eigenbasis and rotated back.
-        Q, VQ, bq, B = self._head(alpha, h)
-        mq = _b_apply(B, alpha * (VQ.T @ Xp.T) + bq[:, None] * (c * y))
-        s = ((alpha * mq).T @ VQ.T - Xp) / h[:, None]
-        e = s - r
-        loss = float(np.vdot(e, e)) / n
-
+        # m = B w and p = B q, rotated back from the eigenbasis.
         m = (Q @ mq).T
         g = alpha[:, None] * m
         p = (Q @ _b_apply(B, (2.0 / h) * (VQ.T @ e.T))).T
 
-        grad_V = ((2.0 / h)[:, None] * e).T @ g + ((alpha**2)[:, None] * Xp).T @ p
+        grad_V = ((2.0 / h)[:, None] * e).T @ g + ((alpha**2)[:, None] * X).T @ p
         coef = alpha * c
         grad_b = (
             p.T @ (coef * y)
@@ -162,13 +168,7 @@ class CoveringScore:
         sym = G + G.T
         grad_tril = np.tril(sym)
         np.fill_diagonal(grad_tril, np.diag(G))
-
-        grads = {
-            "V": grad_V / n,
-            "beta_tilde": grad_b / n,
-            "sigma_inv_tril": grad_tril / n,
-        }
-        return loss, grads
+        return {"V": grad_V, "beta_tilde": grad_b, "sigma_inv_tril": grad_tril}
 
     # -- persistence --------------------------------------------------------
 
@@ -192,10 +192,6 @@ class CoveringScore:
             },
         )
 
-    @property
-    def score_id(self) -> str:
-        return "model:" + _digest(*self.to_blocks())
-
 
 def _b_apply(factors, W):
     """``Q^T B_t Q`` times the columns of ``W`` (d, n); see ``CoveringScore._head``."""
@@ -203,7 +199,7 @@ def _b_apply(factors, W):
     return dinv * W - (k * np.einsum("ij,ij->j", W, g)) * g
 
 
-class MlpScore:
+class MlpScore(_EncoderDecoderScore):
     """Encoder-decoder score with a small rectified-linear head."""
 
     variant = "mlp"
@@ -233,62 +229,35 @@ class MlpScore:
             self.params[f"W{i}"] = rng.standard_normal((fin, fout)) * np.sqrt(2.0 / fin)
             self.params[f"b{i}"] = np.zeros(fout)
 
-    def _features(self, U, y, t):
-        alpha, h = alpha_of(t), h_of(t)
-        return np.column_stack([U, y, t, alpha, h])
-
-    def _forward(self, F):
-        acts = [F]
-        pre = []
-        a = F
-        for i in range(1, self.n_layers + 1):
-            z = a @ self.params[f"W{i}"] + self.params[f"b{i}"]
-            pre.append(z)
-            a = np.maximum(z, 0.0) if i < self.n_layers else z
-            acts.append(a)
-        return acts, pre
-
-    def psi(self, U, y, t):
-        acts, _ = self._forward(self._features(U, y, t))
-        return acts[-1]
-
-    def __call__(self, x, y, t):
-        X, yv, tv, single = _as_batch(x, y, t)
-        V = self.params["V"]
-        out = (self.psi(X @ V, yv, tv) @ V.T - X) / h_of(tv)[:, None]
-        return out[0] if single else out
-
-    def loss_and_grad(self, X, y, t, eps):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        eps = np.asarray(eps, dtype=float)
+    def _forward(self, X, y, t):
         n = X.shape[0]
+        y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,)).astype(float)
+        t = np.broadcast_to(np.asarray(t, dtype=float).ravel(), (n,)).astype(float)
+        h = h_of(t)
         V = self.params["V"]
-        alpha, h = alpha_of(t), h_of(t)
-        sqh = np.sqrt(h)
+        a = np.column_stack([X @ V, y, t, alpha_of(t), h])
+        acts = [a]
+        for i in range(1, self.n_layers + 1):
+            # In place: the cache keeps every layer, and fresh (n, width) arrays page-fault.
+            a = a @ self.params[f"W{i}"]
+            a += self.params[f"b{i}"]
+            if i < self.n_layers:
+                np.maximum(a, 0.0, out=a)
+            acts.append(a)
+        return (a @ V.T - X) / h[:, None], (X, h, acts)
 
-        Xp = alpha[:, None] * X + sqh[:, None] * eps
-        r = -eps / sqh[:, None]
-        U = Xp @ V
-        acts, pre = self._forward(self._features(U, y, t))
-        g = acts[-1]
-        s = (g @ V.T - Xp) / h[:, None]
-        e = s - r
-        loss = float(np.mean(np.sum(e * e, axis=1)))
-
-        q = (2.0 / h)[:, None] * (e @ V)
+    def _grads(self, cache, e):
+        X, h, acts = cache
         grads = {}
-        delta = q
+        delta = (2.0 / h)[:, None] * (e @ self.params["V"])
         for i in range(self.n_layers, 0, -1):
-            grads[f"W{i}"] = acts[i - 1].T @ delta / n
-            grads[f"b{i}"] = delta.sum(axis=0) / n
+            grads[f"W{i}"] = acts[i - 1].T @ delta
+            grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"W{i}"].T
             if i > 1:
-                delta = delta * (pre[i - 2] > 0)
-        dU = delta[:, : self.d]
-        grads["V"] = (((2.0 / h)[:, None] * e).T @ g + Xp.T @ dU) / n
-        return loss, grads
+                delta = delta * (acts[i - 1] > 0)  # ReLU output > 0 iff its input > 0
+        grads["V"] = ((2.0 / h)[:, None] * e).T @ acts[-1] + X.T @ delta[:, : self.d]
+        return grads
 
     def to_blocks(self):
         meta = {
@@ -307,24 +276,11 @@ class MlpScore:
             hidden=tuple(meta["hidden"]), seed=0, params=blocks,
         )
 
-    @property
-    def score_id(self) -> str:
-        return "model:" + _digest(*self.to_blocks())
-
-
-def _digest(meta: dict, blocks: dict) -> str:
-    sha = hashlib.sha256(json.dumps(meta, sort_keys=True).encode())
-    for name in sorted(blocks):
-        sha.update(name.encode())
-        sha.update(np.ascontiguousarray(blocks[name], dtype=float).tobytes())
-    return sha.hexdigest()[:16]
-
 
 def model_from_blocks(meta: dict, blocks: dict):
-    if meta.get("variant") == "covering":
-        return CoveringScore.from_blocks(meta, blocks)
-    if meta.get("variant") == "mlp":
-        return MlpScore.from_blocks(meta, blocks)
+    for cls in (CoveringScore, MlpScore):
+        if meta.get("variant") == cls.variant:
+            return cls.from_blocks(meta, blocks)
     raise ValidationError(f"unknown model variant {meta.get('variant')!r}")
 
 
@@ -332,17 +288,29 @@ def model_from_blocks(meta: dict, blocks: dict):
 # Objectives
 # ---------------------------------------------------------------------------
 
+def _noised(X, t, eps):
+    """``x' = alpha(t) x + sqrt(h(t)) eps`` and its target ``-eps/sqrt(h(t))``."""
+    sqh = np.sqrt(h_of(t))[:, None]
+    eps = np.asarray(eps, dtype=float)
+    return alpha_of(t)[:, None] * np.asarray(X, dtype=float) + sqh * eps, -eps / sqh
+
+
+def _time_and_noise(rng: np.random.Generator, schedule: DiffusionSchedule, shape):
+    """Per-row times uniform on ``[t0, T]``, then standard normal noise."""
+    t = rng.uniform(schedule.t0, schedule.terminal_time, shape[0])
+    return t, rng.standard_normal(shape)
+
+
+def _denoising_errors(score_fn, X, y, t, eps):
+    """Per-row squared error of ``score_fn`` against the denoising target."""
+    Xp, target = _noised(X, t, eps)
+    e = score_fn(Xp, y, t) - target
+    return np.sum(e * e, axis=1)
+
+
 def pathwise_denoising_loss(score_fn, X, y, t, eps) -> float:
     """Mean denoising error of ``score_fn`` for fixed draws ``(t, eps)``."""
-    X = np.asarray(X, dtype=float)
-    t = np.asarray(t, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    h = h_of(t)
-    sqh = np.sqrt(h)
-    Xp = alpha_of(t)[:, None] * X + sqh[:, None] * eps
-    r = -eps / sqh[:, None]
-    e = score_fn(Xp, y, t) - r
-    return float(np.mean(np.sum(e * e, axis=1)))
+    return float(np.mean(_denoising_errors(score_fn, X, y, t, eps)))
 
 
 def denoising_loss_and_grad(model, X, y, schedule: DiffusionSchedule, *, seed):
@@ -355,19 +323,21 @@ def denoising_loss_and_grad(model, X, y, schedule: DiffusionSchedule, *, seed):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValidationError("batch must be nonempty")
-    rng = as_generator(seed)
-    t = rng.uniform(schedule.t0, schedule.terminal_time, X.shape[0])
-    eps = rng.standard_normal(X.shape)
+    t, eps = _time_and_noise(as_generator(seed), schedule, X.shape)
     y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (X.shape[0],))
     return model.loss_and_grad(X, y, t, eps)
 
 
-def _curated_draws(oracle: GaussianDesignOracle, n: int, rng: np.random.Generator):
-    """Clean pairs (x, y) from the Gaussian design of ``oracle``."""
+def _monte_carlo(per_row, oracle: GaussianDesignOracle, n_mc: int,
+                 schedule: DiffusionSchedule, seed):
+    """``(mean, stderr)`` of ``per_row(X, y, t, eps)`` over the design of ``oracle``."""
+    rng = as_generator(seed)
     L = np.linalg.cholesky(oracle.world.Sigma)
-    z = rng.standard_normal((n, oracle.world.d)) @ L.T
-    y = z @ oracle.beta_hat + oracle.nu * rng.standard_normal(n)
-    return z @ oracle.world.A.T, y
+    z = rng.standard_normal((n_mc, oracle.world.d)) @ L.T
+    y = z @ oracle.beta_hat + oracle.nu * rng.standard_normal(n_mc)
+    X = z @ oracle.world.A.T
+    vals = per_row(X, y, *_time_and_noise(rng, schedule, X.shape))
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_mc))
 
 
 def exact_objective(score_fn, oracle: GaussianDesignOracle, n_mc: int,
@@ -376,28 +346,18 @@ def exact_objective(score_fn, oracle: GaussianDesignOracle, n_mc: int,
 
     Uses the closed-form score as ground truth; returns ``(mean, stderr)``.
     """
-    rng = as_generator(seed)
-    X, y = _curated_draws(oracle, n_mc, rng)
-    t = rng.uniform(schedule.t0, schedule.terminal_time, n_mc)
-    eps = rng.standard_normal(X.shape)
-    Xp = alpha_of(t)[:, None] * X + np.sqrt(h_of(t))[:, None] * eps
-    diff = analytic_score(oracle, Xp, y, t) - score_fn(Xp, y, t)
-    vals = np.sum(diff * diff, axis=1)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_mc))
+    def per_row(X, y, t, eps):
+        Xp, _ = _noised(X, t, eps)
+        diff = analytic_score(oracle, Xp, y, t) - score_fn(Xp, y, t)
+        return np.sum(diff * diff, axis=1)
+    return _monte_carlo(per_row, oracle, n_mc, schedule, seed)
 
 
 def denoising_objective(score_fn, oracle: GaussianDesignOracle, n_mc: int,
                         schedule: DiffusionSchedule, *, seed):
     """Monte Carlo estimate of the denoising objective; ``(mean, stderr)``."""
-    rng = as_generator(seed)
-    X, y = _curated_draws(oracle, n_mc, rng)
-    t = rng.uniform(schedule.t0, schedule.terminal_time, n_mc)
-    eps = rng.standard_normal(X.shape)
-    h = h_of(t)
-    Xp = alpha_of(t)[:, None] * X + np.sqrt(h)[:, None] * eps
-    diff = score_fn(Xp, y, t) + eps / np.sqrt(h)[:, None]
-    vals = np.sum(diff * diff, axis=1)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_mc))
+    return _monte_carlo(lambda *draws: _denoising_errors(score_fn, *draws),
+                        oracle, n_mc, schedule, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +426,7 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
 
     rng = as_generator(derive(config.seed, 1))
     val_rng = as_generator(derive(config.seed, 2))
-    t_val = val_rng.uniform(schedule.t0, schedule.terminal_time, X_val.shape[0])
-    eps_val = val_rng.standard_normal(X_val.shape)
+    t_val, eps_val = _time_and_noise(val_rng, schedule, X_val.shape)
 
     opt = Adam(model.params, config.learning_rate)
     loss_trace: list = []
@@ -480,8 +439,7 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
         batch_losses = []
         for lo in range(0, n_train, config.batch_size):
             idx = perm[lo: lo + config.batch_size]
-            t = rng.uniform(schedule.t0, schedule.terminal_time, idx.size)
-            eps = rng.standard_normal((idx.size, X_train.shape[1]))
+            t, eps = _time_and_noise(rng, schedule, (idx.size, X_train.shape[1]))
             loss, grads = model.loss_and_grad(X_train[idx], y_train[idx], t, eps)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(step, loss_trace + batch_losses)

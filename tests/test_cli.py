@@ -177,6 +177,16 @@ class TestFiguresCommand:
             rows = list(csv.DictReader(fh))
         assert all(float(r["err"]) == 0.0 for r in rows)
 
+    def test_histograms_use_the_configured_bin_count(self, smoke_cfg):
+        cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text() + "metrics.histogram_bins = 20\n")
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert main(["figures", "--config", str(cfg)]) == EXIT_OK
+        tables = sorted((out / "figures").glob("hist_a*.csv"))
+        assert [p.name for p in tables] == ["hist_a0.csv", "hist_a2.csv"]
+        for path in tables:
+            assert len(path.read_text().splitlines()) == 1 + 20  # header + bins
+
 
 class TestValidateCommand:
     def test_single_check_passes(self, capsys):

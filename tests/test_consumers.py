@@ -1,4 +1,7 @@
-"""Every top-level definition in the package has a consumer in the package.
+"""Every definition in the package has a consumer in the package.
+
+Definitions are the top-level functions and classes and the methods and
+properties of those classes, dunders excepted.
 
 A helper that only tests reach feeds no run, report or check; it should
 be deleted together with the tests that cover only it.  The package's
@@ -39,14 +42,28 @@ def _references(tree: ast.AST) -> set:
     return refs
 
 
-def test_every_definition_has_a_consumer():
+def _trees_and_consumed():
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"]
     # A definition is a statement, not a reference, so it does not consume itself.
-    consumed = set().union(*map(_references, trees))
+    return trees, set().union(*map(_references, trees))
+
+
+def test_every_definition_has_a_consumer():
+    trees, consumed = _trees_and_consumed()
     unused = {node.name for tree in trees for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in consumed}
     # Equality also flags an exemption that is stale: the reference gained
     # a consumer or was deleted.
     assert unused == set(KEPT_REFERENCES)
+
+
+def test_every_method_has_a_consumer():
+    trees, consumed = _trees_and_consumed()
+    unused = {f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in consumed}
+    assert unused == set()

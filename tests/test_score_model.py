@@ -178,6 +178,19 @@ class TestLossValues:
         ))
         assert abs(got - expected) < 1e-10
 
+    @pytest.mark.parametrize("which", ["covering", "mlp"])
+    def test_training_loss_equals_pathwise_loss(self, which):
+        model = _models()[0 if which == "covering" else 1]
+        rng = np.random.default_rng(3)
+        _perturb(model, rng)
+        X = rng.standard_normal((64, 6))
+        y = rng.standard_normal(64)
+        t = rng.uniform(SCHED.t0, SCHED.terminal_time, 64)
+        eps = rng.standard_normal(X.shape)
+        loss, _ = model.loss_and_grad(X, y, t, eps)
+        ref = pathwise_denoising_loss(model, X, y, t, eps)
+        assert abs(loss - ref) <= 1e-12 * abs(ref)
+
 
 class TestObjectives:
     def test_exact_objective_self_match(self):
