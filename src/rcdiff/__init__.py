@@ -29,7 +29,6 @@ from .oracle import (
     noised_conditional_law,
 )
 from .regression import (
-    PseudoLabeledDataset,
     RidgeEstimate,
     coverage_trace,
     coverage_trace_factored,
@@ -66,7 +65,6 @@ from .figures import emit_figures
 from .world import (
     LabeledDataset,
     SubspaceWorld,
-    UnlabeledDataset,
     decompose,
     generate_datasets,
     make_world,

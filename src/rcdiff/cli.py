@@ -102,9 +102,11 @@ def cmd_train_reward(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_score(cfg: RunConfig, args) -> int:
+    if cfg["score.variant"] == "oracle":
+        raise ConfigError("score.variant = oracle has no model to train")
     st = _seed_stages(cfg, args)
     curated = st.pseudo(st.read_unlabeled(), io.load_ridge(st.sdir / "ridge.rctb"))
-    st.score(curated=curated)
+    st.score(curated, None)
     trace = st.manifest.data["training"][str(st.seed)]
     io.write_json(st.sdir / "train_trace.json", trace)
     print(
@@ -122,9 +124,9 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--a {a:g} is not one of sweep.a ({grid}); "
                           "a target's noise stream is its position in sweep.a")
     st = _seed_stages(cfg, args)
-    if args.use_oracle:
+    if cfg["score.variant"] == "oracle":
         world = io.load_world(st.sdir / "world.rctb")
-        score = st.score(oracle=st.oracle(world, io.load_ridge(st.sdir / "ridge.rctb")))
+        score = st.score(None, st.oracle(world, io.load_ridge(st.sdir / "ridge.rctb")))
     else:
         score = io.load_model(st.sdir / "score_model.rctb")
     batch = st.sample(score, a)
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gen-data", cmd_gen_data, ("seed",)),
         ("train-reward", cmd_train_reward, ("seed",)),
         ("train-score", cmd_train_score, ("seed",)),
-        ("sample", cmd_sample, ("seed", "a", "use_oracle")),
+        ("sample", cmd_sample, ("seed", "a")),
     ]:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", help="config file (defaults apply)")
@@ -165,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"run one check: {', '.join(CHECKS)}")
         if "a" in extras:
             p.add_argument("--a", type=float, help="target value (default: first of sweep.a)")
-        if "use_oracle" in extras:
-            p.add_argument("--use-oracle", action="store_true",
-                           help="sample with the closed-form score instead of a model")
         p.set_defaults(fn=fn)
     return parser
 

@@ -53,7 +53,7 @@ SCHEMA = {
     "schedule.T": (float, 10.0, "terminal diffusion time"),
     "schedule.t0": (float, 0.01, "early-stop time"),
     "schedule.eta": (float, 0.01, "backward step size"),
-    "score.variant": (str, "mlp", "mlp | covering"),
+    "score.variant": (str, "mlp", "mlp | covering | oracle (closed form, no training)"),
     "score.hidden": (_parse_int_list, [128, 128], "mlp hidden widths"),
     "score.batch_size": (int, 64, "training batch size"),
     "score.epochs": (int, 10, "training epochs"),
@@ -140,8 +140,8 @@ class RunConfig:
         # unregularized fit is singular unless the support fills the space.
         if v["reward.lambda"] == 0 and v["world.d"] < v["world.D"]:
             raise ConfigError("reward.lambda = 0 needs world.d = world.D")
-        if v["score.variant"] not in ("covering", "mlp"):
-            raise ConfigError("score.variant must be covering or mlp")
+        if v["score.variant"] not in ("covering", "mlp", "oracle"):
+            raise ConfigError("score.variant must be covering, mlp or oracle")
         hidden = v["score.hidden"]
         if not 1 <= len(hidden) <= 3 or min(hidden) < 1:
             raise ConfigError("score.hidden must be 1 to 3 positive widths")

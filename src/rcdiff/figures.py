@@ -46,15 +46,15 @@ def aggregate_curves(rows: list) -> dict:
     return out
 
 
-def emit_figures(run_dir, out_dir=None, log=lambda msg: None) -> Path:
-    """Write curve CSVs, histogram CSVs, and SVG plots for a finished run."""
+def emit_figures(run_dir, log=lambda msg: None) -> Path:
+    """Write curve CSVs, histogram CSVs, and SVG plots to ``run_dir/figures``."""
     run_dir = Path(run_dir)
     csv_path = run_dir / "metrics.csv"
     if not csv_path.exists():
         raise RcdiffError(
             f"{csv_path} not found: run the 'pipeline' command for this config first"
         )
-    out = Path(out_dir) if out_dir is not None else run_dir / "figures"
+    out = run_dir / "figures"
     out.mkdir(parents=True, exist_ok=True)
 
     rows = read_metrics_csv(csv_path)

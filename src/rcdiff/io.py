@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -49,19 +50,19 @@ def write_matrix(path, X: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if raw[:4] != MATRIX_MAGIC:
-        raise ValidationError(f"{path}: not a matrix file (bad magic)")
+    if raw[:4] != MATRIX_MAGIC or len(raw) < 24:
+        raise ValidationError(f"{path}: not a matrix file (bad magic or short header)")
     version, n, d = struct.unpack_from("<IQQ", raw, 4)
     if version != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported version {version}")
-    body = np.frombuffer(raw, dtype="<f8", offset=24)
-    if body.size != n * d:
-        raise ValidationError(f"{path}: truncated matrix file")
-    return body.reshape(n, d).copy()
+    # On bytes: np.frombuffer raises a plain ValueError on a partial float64 entry.
+    if len(raw) != 24 + 8 * n * d:
+        raise ValidationError(f"{path}: matrix file size does not match its {n} x {d} header")
+    return np.frombuffer(raw, dtype="<f8", offset=24).reshape(n, d).copy()
 
 
-def export_csv(path, X: np.ndarray, y: np.ndarray | None = None) -> None:
-    """Human-readable companion export: x0..x{D-1}[, y].
+def export_csv(path, X: np.ndarray, y: np.ndarray) -> None:
+    """Human-readable companion export: x0..x{D-1}, y.
 
     Values are ``repr`` of the float64 entries and lines end in ``\\r\\n``,
     the layout of a default ``csv.writer``.  Rows are formatted and written
@@ -69,11 +70,8 @@ def export_csv(path, X: np.ndarray, y: np.ndarray | None = None) -> None:
     process's peak memory, and allocator pools keep part of it afterwards.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    cols = [X]
-    header = [f"x{i}" for i in range(X.shape[1])]
-    if y is not None:
-        header.append("y")
-        cols.append(np.asarray(y, dtype=float).reshape(-1, 1))
+    cols = [X, np.asarray(y, dtype=float).reshape(-1, 1)]
+    header = [f"x{i}" for i in range(X.shape[1])] + ["y"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, X.shape[0], _CSV_BLOCK_ROWS):
@@ -123,7 +121,10 @@ def read_blocks(path) -> tuple[dict, dict]:
             off += 4
             shape = struct.unpack_from(f"<{rank}Q", raw, off)
             off += 8 * rank
-            count = int(np.prod(shape)) if rank else 1
+            count = math.prod(shape)
+            # A corrupt dims field would make np.frombuffer raise a plain ValueError.
+            if 8 * count > len(raw) - off:
+                raise ValidationError(f"{path}: block {name!r} runs past the end of the file")
             arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
             off += 8 * count
             blocks[name] = arr.reshape(shape).copy()
@@ -160,11 +161,9 @@ def load_ridge(path):
     )
 
 
-def save_model(path, model, schedule=None) -> None:
+def save_model(path, model, schedule) -> None:
     meta, blocks = model.to_blocks()
-    if schedule is not None:
-        meta = {**meta, "schedule": schedule.to_dict()}
-    write_blocks(path, {"kind": "score_model", **meta}, blocks)
+    write_blocks(path, {"kind": "score_model", **meta, "schedule": schedule.to_dict()}, blocks)
 
 
 def load_model(path):
@@ -255,7 +254,10 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from read_text
+        raise ValidationError(f"{path}: corrupt JSON ({exc})") from exc
 
 
 def sha256_file(path) -> str:

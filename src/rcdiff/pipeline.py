@@ -9,7 +9,7 @@ a pure function of the resolved configuration.
 
 Artifacts under the output directory::
 
-    manifest.json                resolved config, score source, file hashes, timings
+    manifest.json                resolved config, file hashes, timings
     metrics.csv                  one row per cell: its record through ``CSV_COLUMNS``
     seed_<s>/world.rctb          ground truth tensors
     seed_<s>/unlabeled.bin       unlabeled features (matrix container)
@@ -18,7 +18,7 @@ Artifacts under the output directory::
     seed_<s>/labeled.csv         features and labels together, as text
     seed_<s>/ridge.rctb          reward estimate
     seed_<s>/pseudo_labels.bin   curated labels for the unlabeled features
-    seed_<s>/score_model.rctb    fitted score model
+    seed_<s>/score_model.rctb    fitted score model (none under ``score.variant = oracle``)
     seed_<s>/samples_a<a>.bin/.json   generated batch per target value
     seed_<s>/metrics_a<a>.json   per-cell record (``metrics.build_metrics_report``)
 """
@@ -40,7 +40,7 @@ from .regression import fit_ridge, pseudo_label
 from .rng import derive
 from .sampler import run_backward
 from .score_model import CoveringScore, MlpScore, extract_subspace, train
-from .world import LabeledDataset, UnlabeledDataset, generate_datasets, make_world
+from .world import LabeledDataset, generate_datasets, make_world
 
 # metrics.csv column -> per-cell record key, in header order.  None marks the
 # seed column: the stage's root seed, not the record's per-cell stream entropy.
@@ -50,7 +50,8 @@ CSV_COLUMNS = {
     "offsupport": "off_support_mean", "shift": "distro_shift",
 }
 
-# Stage codes for seed derivation (documented; never renumber).
+# Stage codes for seed derivation under the cell seed (documented; never
+# renumber).  1 and 2 are ``score_model.train``'s (``SEED_TRAIN_*`` there).
 SEED_WORLD = 10
 SEED_DATA = 11
 SEED_PSEUDO = 12
@@ -66,8 +67,8 @@ class PipelineStageError(RcdiffError, RuntimeError):
         self.cause = cause
 
 
-def is_up_to_date(cfg: RunConfig, out_dir, score_source: str = "model") -> bool:
-    """True when a complete, hash-clean run of this config and score source exists."""
+def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
+    """True when a complete, hash-clean run of this config exists."""
     manifest_path = Path(out_dir) / "manifest.json"
     if not manifest_path.exists():
         return False
@@ -78,31 +79,23 @@ def is_up_to_date(cfg: RunConfig, out_dir, score_source: str = "model") -> bool:
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
-        and manifest.get("score_source") == score_source
         and not io.verify_manifest(out_dir)
     )
 
 
-def run_pipeline(cfg: RunConfig, out_dir=None, *, force: bool = False,
-                 log=lambda msg: None, use_oracle_score: bool = False) -> Path:
-    """Execute the full sweep; returns the output directory.
-
-    ``use_oracle_score`` swaps the trained model for the closed-form score
-    (same interfaces, no training stage), which is mainly useful for fast
-    smoke runs and sampler studies.
-    """
-    out = Path(out_dir) if out_dir is not None else Path(cfg["out.dir"])
-    score_source = "oracle" if use_oracle_score else "model"
-    if not force and is_up_to_date(cfg, out, score_source):
+def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
+                 log=lambda msg: None) -> Path:
+    """Execute the full sweep; returns the output directory."""
+    out = Path(out_dir)
+    if not force and is_up_to_date(cfg, out):
         log(f"up to date: {out}")
         return out
     out.mkdir(parents=True, exist_ok=True)
     manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
-    manifest.data["score_source"] = score_source
     rows = []
     try:
         for seed in cfg["sweep.seeds"]:
-            _run_seed(cfg, out, seed, manifest, rows, log, use_oracle_score)
+            _run_seed(cfg, out, seed, manifest, rows, log)
         csv_path = out / "metrics.csv"
         _write_csv(csv_path, rows)
         manifest.add_file(out, csv_path)
@@ -116,17 +109,14 @@ def run_pipeline(cfg: RunConfig, out_dir=None, *, force: bool = False,
     return out
 
 
-def _run_seed(cfg, out, seed, manifest, rows, log, use_oracle_score):
+def _run_seed(cfg, out, seed, manifest, rows, log):
     st = SeedStages(cfg, seed, out / f"seed_{seed}", manifest, log)
     world, unlabeled, labeled = st.data()
     est = st.ridge(labeled)
     curated = st.pseudo(unlabeled, est)
     oracle = st.oracle(world, est)
-    if use_oracle_score:
-        score, V = st.score(oracle=oracle), world.A
-    else:
-        score = st.score(curated=curated)
-        V = extract_subspace(score)
+    score = st.score(curated, oracle)
+    V = world.A if cfg["score.variant"] == "oracle" else extract_subspace(score)
     for a in cfg["sweep.a"]:
         rows.append(st.metrics(st.sample(score, a), world, est, oracle, V))
     for p in sorted(st.sdir.iterdir()):
@@ -173,7 +163,7 @@ class SeedStages:
             world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
             seed=derive(self.seed, SEED_DATA),
         ))
-        io.write_matrix(sdir / "unlabeled.bin", unlabeled.X)
+        io.write_matrix(sdir / "unlabeled.bin", unlabeled)
         io.write_matrix(sdir / "labeled.bin", labeled.X)
         io.write_matrix(sdir / "labeled_y.bin", labeled.y.reshape(-1, 1))
         io.export_csv(sdir / "labeled.csv", labeled.X, labeled.y)
@@ -184,12 +174,11 @@ class SeedStages:
         return LabeledDataset(
             X=io.read_matrix(self.sdir / "labeled.bin"),
             y=io.read_matrix(self.sdir / "labeled_y.bin").ravel(),
-            noise_sigma=self.cfg["data.noise_sigma"],
         )
 
-    def read_unlabeled(self) -> UnlabeledDataset:
-        """The unlabeled dataset that ``data`` wrote."""
-        return UnlabeledDataset(X=io.read_matrix(self.sdir / "unlabeled.bin"))
+    def read_unlabeled(self):
+        """The (n1, D) unlabeled pool that ``data`` wrote."""
+        return io.read_matrix(self.sdir / "unlabeled.bin")
 
     def ridge(self, labeled):
         est = self._timed("ridge", lambda: fit_ridge(labeled, self.cfg["reward.lambda"]))
@@ -200,7 +189,7 @@ class SeedStages:
         curated = self._timed("pseudo", lambda: pseudo_label(
             unlabeled, est, self.cfg.nu, seed=derive(self.seed, SEED_PSEUDO),
         ))
-        io.write_matrix(self.sdir / "pseudo_labels.bin", curated.y_hat.reshape(-1, 1))
+        io.write_matrix(self.sdir / "pseudo_labels.bin", curated.y.reshape(-1, 1))
         return curated
 
     def oracle(self, world, est) -> GaussianDesignOracle:
@@ -213,14 +202,12 @@ class SeedStages:
         }
         return oracle
 
-    def score(self, *, oracle=None, curated=None):
-        """The score the sampler follows.
-
-        With ``oracle`` this is its closed-form score (no training); with
-        ``curated`` it is a model of the configured variant trained on the
-        pseudo-labelled data and saved, its loss traces in the manifest.
-        """
-        if oracle is not None:
+    def score(self, curated, oracle):
+        """The score the sampler follows, by ``score.variant``: the variant
+        ``oracle`` is the closed-form score of the ``oracle`` argument (no
+        training); ``mlp`` and ``covering`` train on ``curated`` and save the
+        model, its loss traces in the manifest."""
+        if self.cfg["score.variant"] == "oracle":
             return AnalyticScore(oracle)
         cfg, schedule = self.cfg, self.cfg.schedule()
         D, d, init = cfg["world.D"], cfg["world.d"], derive(self.seed, SEED_MODEL)

@@ -22,7 +22,7 @@ from scipy import linalg
 from .errors import RankError, ValidationError
 from .oracle import GaussianDesignOracle, conditional_latent_law
 from .rng import as_generator
-from .world import LabeledDataset, SubspaceWorld, UnlabeledDataset
+from .world import LabeledDataset, SubspaceWorld
 
 MAX_COND = 1e12
 
@@ -58,25 +58,6 @@ class RidgeEstimate:
         return world.A.T @ self.theta_hat
 
 
-@dataclass(frozen=True)
-class PseudoLabeledDataset:
-    X: np.ndarray                 # (n1, D)
-    y_hat: np.ndarray             # (n1,)
-    nu: float
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y_hat, dtype=float)
-        if y.shape != (X.shape[0],):
-            raise ValidationError("y_hat length does not match number of rows")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y_hat", y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
 def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
     """Solve the ridge normal equations with a Cholesky factorization.
 
@@ -107,16 +88,14 @@ def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
     )
 
 
-def pseudo_label(
-    unlabeled: UnlabeledDataset, est: RidgeEstimate, nu: float, *, seed
-) -> PseudoLabeledDataset:
-    """Annotate the unlabeled pool with noisy predicted rewards."""
+def pseudo_label(X: np.ndarray, est: RidgeEstimate, nu: float, *, seed) -> LabeledDataset:
+    """Annotate the unlabeled (n, D) pool ``X`` with noisy predicted rewards."""
     if nu < 0:
         raise ValidationError("nu must be nonnegative")
-    y = unlabeled.X @ est.theta_hat
+    y = X @ est.theta_hat
     if nu > 0:
-        y = y + nu * as_generator(seed).standard_normal(unlabeled.n)
-    return PseudoLabeledDataset(X=unlabeled.X, y_hat=y, nu=nu)
+        y = y + nu * as_generator(seed).standard_normal(X.shape[0])
+    return LabeledDataset(X=X, y=y)
 
 
 def default_nu(D: int) -> float:

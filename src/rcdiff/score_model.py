@@ -47,12 +47,16 @@ import numpy as np
 
 from .errors import ExtractionError, TrainingDivergedError, ValidationError
 from .oracle import GaussianDesignOracle, DiffusionSchedule, alpha_of, analytic_score, h_of
-from .regression import PseudoLabeledDataset
 from .rng import as_generator, derive
+from .world import LabeledDataset
 
 SPD_FLOOR = 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 VAL_SIZE = 512  # largest validation hold-out of ``train``
+# ``train`` draws under ``TrainConfig.seed``, which the pipeline sets to the
+# cell seed, so these codes share the stage-code table in ``pipeline``.
+SEED_TRAIN_STEPS = 1  # shuffles and per-step (t, eps) draws
+SEED_TRAIN_VAL = 2    # the frozen validation draws
 
 
 class ZeroScore:
@@ -272,7 +276,7 @@ class MlpScore(_EncoderDecoderScore):
     @classmethod
     def from_blocks(cls, meta: dict, blocks: dict) -> "MlpScore":
         return cls(
-            meta["D"], meta["d"], meta.get("nu", 0.0),
+            meta["D"], meta["d"], meta["nu"],
             hidden=tuple(meta["hidden"]), seed=0, params=blocks,
         )
 
@@ -383,7 +387,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: object
     loss_trace: list          # mean train loss per epoch
     val_trace: list           # fixed-draw validation loss, epochs + 1 entries
 
@@ -407,7 +410,7 @@ class Adam:
             params[k] -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
 
 
-def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
+def train(model, curated: LabeledDataset, config: TrainConfig,
           schedule: DiffusionSchedule) -> TrainResult:
     """Denoising training loop: seeded shuffling, per-row time draws, Adam.
 
@@ -419,13 +422,13 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
     if n == 0:
         raise ValidationError("curated dataset must be nonempty")
     n_val = min(VAL_SIZE, max(n // 8, 1))
-    X_train, y_train = curated.X[: n - n_val], curated.y_hat[: n - n_val]
-    X_val, y_val = curated.X[n - n_val:], curated.y_hat[n - n_val:]
+    X_train, y_train = curated.X[: n - n_val], curated.y[: n - n_val]
+    X_val, y_val = curated.X[n - n_val:], curated.y[n - n_val:]
     if X_train.shape[0] == 0:
-        X_train, y_train = curated.X, curated.y_hat
+        X_train, y_train = curated.X, curated.y
 
-    rng = as_generator(derive(config.seed, 1))
-    val_rng = as_generator(derive(config.seed, 2))
+    rng = as_generator(derive(config.seed, SEED_TRAIN_STEPS))
+    val_rng = as_generator(derive(config.seed, SEED_TRAIN_VAL))
     t_val, eps_val = _time_and_noise(val_rng, schedule, X_val.shape)
 
     opt = Adam(model.params, config.learning_rate)
@@ -448,7 +451,7 @@ def train(model, curated: PseudoLabeledDataset, config: TrainConfig,
             step += 1
         loss_trace.append(float(np.mean(batch_losses)))
         val_trace.append(pathwise_denoising_loss(model, X_val, y_val, t_val, eps_val))
-    return TrainResult(model=model, loss_trace=loss_trace, val_trace=val_trace)
+    return TrainResult(loss_trace=loss_trace, val_trace=val_trace)
 
 
 def extract_subspace(model) -> np.ndarray:

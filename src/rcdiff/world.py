@@ -93,22 +93,11 @@ class SubspaceWorld:
 
 
 @dataclass(frozen=True)
-class UnlabeledDataset:
-    X: np.ndarray                 # (n1, D)
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    X: np.ndarray                 # (n2, D)
-    y: np.ndarray                 # (n2,)
-    noise_sigma: float = 0.0
+    """Features with reward labels: the labeled set, or the pool after ``pseudo_label``."""
+
+    X: np.ndarray                 # (n, D)
+    y: np.ndarray                 # (n,)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -197,8 +186,8 @@ def generate_datasets(
     noise_sigma: float = 0.1,
     *,
     seed,
-) -> tuple[UnlabeledDataset, LabeledDataset]:
-    """Draw an unlabeled set of size ``n1`` and a labeled set of size ``n2``.
+) -> tuple[np.ndarray, LabeledDataset]:
+    """Draw an unlabeled (n1, D) pool and a labeled set of size ``n2``.
 
     Latents are i.i.d. ``N(0, Sigma)``, ``x = A z``, and labels carry
     additive ``N(0, noise_sigma^2)`` noise.  Both sets come from a single
@@ -218,4 +207,4 @@ def generate_datasets(
     y2 = true_reward(world, X2)
     if noise_sigma > 0:
         y2 = y2 + noise_sigma * rng.standard_normal(n2)
-    return UnlabeledDataset(X=X1), LabeledDataset(X=X2, y=y2, noise_sigma=noise_sigma)
+    return X1, LabeledDataset(X=X2, y=y2)

@@ -1,13 +1,12 @@
 """Command-line harness: exit codes, artifacts, idempotence, figures."""
 
 import json
+import struct
 
 import pytest
 
 from rcdiff import io
 from rcdiff.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
-from rcdiff.config import load_config
-from rcdiff.pipeline import run_pipeline
 from rcdiff.validate import CHECKS
 
 SMOKE = """
@@ -120,15 +119,19 @@ class TestPipelineCommand:
 
     def test_oracle_run_is_not_up_to_date_for_trained_run(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg
-        run_cfg = load_config(cfg)
-        run_pipeline(run_cfg, out, use_oracle_score=True)
-        assert io.read_json(out / "manifest.json")["score_source"] == "oracle"
+        oracle_cfg = cfg.with_name("oracle.cfg")
+        oracle_cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+        assert main(["pipeline", "--config", str(oracle_cfg)]) == EXIT_OK
+        assert not (out / "seed_0" / "score_model.rctb").exists()
+        side = json.loads((out / "seed_0" / "samples_a2.json").read_text())
+        assert side["score_id"].startswith("oracle:")
+        assert main(["figures", "--config", str(oracle_cfg)]) == EXIT_OK
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" not in capsys.readouterr().out
-        assert io.read_json(out / "manifest.json")["score_source"] == "model"
         side = json.loads((out / "seed_0" / "samples_a2.json").read_text())
         assert side["score_id"].startswith("model:")
-        # Each source is up to date with respect to itself only.
+        # The config digest keys the score source: each run is up to date
+        # with respect to its own config only.
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" in capsys.readouterr().out
 
@@ -166,6 +169,16 @@ class TestFiguresCommand:
             assert svg.startswith("<svg") and "polyline" in svg
         assert (figs / "hist_a0.csv").exists()
         assert (figs / "hist_a2.csv").exists()
+
+    def test_truncated_manifest_is_compute_error(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        manifest = out / "manifest.json"
+        whole = manifest.read_bytes()
+        for raw in (whole[:-3], b"\xff" + whole):  # truncated; not UTF-8
+            manifest.write_bytes(raw)
+            assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
+            assert "manifest.json" in capsys.readouterr().err
 
     def test_single_seed_gives_zero_error_bars(self, smoke_cfg):
         import csv
@@ -238,22 +251,32 @@ class TestStagedCommands:
 
     def test_sample_outside_sweep_is_config_error(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
         main(["gen-data", "--config", str(cfg)])
         main(["train-reward", "--config", str(cfg)])
         before = sorted(p.name for p in (out / "seed_0").iterdir())
-        assert main(["sample", "--config", str(cfg), "--a", "3",
-                     "--use-oracle"]) == EXIT_CONFIG
+        assert main(["sample", "--config", str(cfg), "--a", "3"]) == EXIT_CONFIG
         assert "sweep.a" in capsys.readouterr().err
         assert sorted(p.name for p in (out / "seed_0").iterdir()) == before
 
     def test_sample_with_oracle_score(self, smoke_cfg):
         cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
         main(["gen-data", "--config", str(cfg)])
         main(["train-reward", "--config", str(cfg)])
-        assert main(["sample", "--config", str(cfg), "--a", "0",
-                     "--use-oracle"]) == EXIT_OK
+        assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_OK
         side = json.loads((out / "seed_0" / "samples_a0.json").read_text())
         assert side["score_id"].startswith("oracle:")
+
+    def test_train_score_under_oracle_is_config_error(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+        main(["gen-data", "--config", str(cfg)])
+        main(["train-reward", "--config", str(cfg)])
+        before = {p.name: p.read_bytes() for p in (out / "seed_0").iterdir()}
+        assert main(["train-score", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "oracle" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (out / "seed_0").iterdir()} == before
 
     def test_corrupted_model_file_is_compute_error(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg
@@ -261,11 +284,19 @@ class TestStagedCommands:
         main(["train-reward", "--config", str(cfg)])
         main(["train-score", "--config", str(cfg)])
         model_path = out / "seed_0" / "score_model.rctb"
-        raw = bytearray(model_path.read_bytes())
-        raw[5] ^= 0xFF
-        model_path.write_bytes(bytes(raw))
-        assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_COMPUTE
-        assert "error" in capsys.readouterr().err
+        whole = model_path.read_bytes()
+        bad_version = bytearray(whole)
+        bad_version[5] ^= 0xFF
+        oversized = bytearray(whole)
+        # The first dim of the first block: after the metadata, the u32 block
+        # count, the u32 name length and the name, and the u32 rank.
+        (meta_len,) = struct.unpack_from("<Q", whole, 8)
+        (name_len,) = struct.unpack_from("<I", whole, 16 + meta_len + 4)
+        struct.pack_into("<Q", oversized, 16 + meta_len + 8 + name_len + 4, 10**6)
+        for raw in (bad_version, oversized):
+            model_path.write_bytes(bytes(raw))
+            assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_COMPUTE
+            assert "error" in capsys.readouterr().err
 
     def test_missing_data_is_compute_error(self, smoke_cfg):
         cfg, _ = smoke_cfg

@@ -1,5 +1,7 @@
 """Binary containers, JSON artifacts, manifests, and config parsing."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,12 @@ class TestMatrixContainer:
         X = np.zeros((4, 4))
         path = tmp_path / "m.bin"
         io.write_matrix(path, X)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValidationError):
-            io.read_matrix(path)
+        whole = path.read_bytes()
+        # A whole entry, part of one, and part of the 24-byte header.
+        for cut in (8, 3, len(whole) - 12):
+            path.write_bytes(whole[:-cut])
+            with pytest.raises(ValidationError):
+                io.read_matrix(path)
 
     def test_csv_export_parses_back(self, tmp_path):
         X = np.random.default_rng(1).standard_normal((5, 3))
@@ -51,16 +56,14 @@ class TestMatrixContainer:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12, (7, 4))
         y = rng.standard_normal(7)
-        for yy in (y, None):
-            ref = tmp_path / "ref.csv"
-            with open(ref, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow([f"x{i}" for i in range(4)] + ([] if yy is None else ["y"]))
-                for i in range(7):
-                    w.writerow([repr(float(v)) for v in X[i]]
-                               + ([] if yy is None else [repr(float(yy[i]))]))
-            io.export_csv(tmp_path / "d.csv", X, yy)
-            assert (tmp_path / "d.csv").read_bytes() == ref.read_bytes()
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([f"x{i}" for i in range(4)] + ["y"])
+            for i in range(7):
+                w.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i]))])
+        io.export_csv(tmp_path / "d.csv", X, y)
+        assert (tmp_path / "d.csv").read_bytes() == ref.read_bytes()
 
 
 class TestTensorBlocks:
@@ -78,11 +81,16 @@ class TestTensorBlocks:
     def test_corruption_rejected(self, tmp_path):
         path = tmp_path / "t.rctb"
         io.write_blocks(path, {"kind": "test"}, {"W": np.ones((2, 2))})
-        raw = bytearray(path.read_bytes())
-        raw[6] ^= 0xFF  # scramble the metadata length
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError):
-            io.read_blocks(path)
+        whole = path.read_bytes()
+        scrambled = bytearray(whole)
+        scrambled[6] ^= 0xFF  # the metadata length
+        oversized = bytearray(whole)
+        # The first dim of block "W", after its name and its u32 rank.
+        struct.pack_into("<Q", oversized, whole.index(b"W") + 1 + 4, 10**6)
+        for raw in (scrambled, oversized):
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValidationError):
+                io.read_blocks(path)
 
     def test_world_and_ridge_roundtrip(self, tmp_path):
         w = make_world(D=6, d=2, seed=0)

@@ -78,7 +78,7 @@ class TestFitRidge:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((128, 6))
         theta = rng.standard_normal(6)
-        data = LabeledDataset(X=X, y=X @ theta, noise_sigma=0.0)
+        data = LabeledDataset(X=X, y=X @ theta)
         est = fit_ridge(data, lam=0.0)
         np.testing.assert_allclose(est.theta_hat, theta, atol=1e-8)
 
@@ -86,7 +86,7 @@ class TestFitRidge:
         w = make_world(D=10, d=3, seed=11)
         _, labeled = generate_datasets(w, n1=2, n2=256, noise_sigma=0.2, seed=12)
         Q = np.linalg.qr(np.random.default_rng(13).standard_normal((10, 10)))[0]
-        rotated = LabeledDataset(X=labeled.X @ Q.T, y=labeled.y, noise_sigma=0.2)
+        rotated = LabeledDataset(X=labeled.X @ Q.T, y=labeled.y)
         t1 = fit_ridge(labeled, lam=0.7).theta_hat
         t2 = fit_ridge(rotated, lam=0.7).theta_hat
         np.testing.assert_allclose(t2, Q @ t1, atol=1e-9)
@@ -115,7 +115,7 @@ class TestPseudoLabel:
         unlabeled, labeled = generate_datasets(w, n1=64, n2=64, noise_sigma=0.1, seed=1)
         est = fit_ridge(labeled)
         curated = pseudo_label(unlabeled, est, nu=0.0, seed=2)
-        np.testing.assert_allclose(curated.y_hat, unlabeled.X @ est.theta_hat, atol=1e-14)
+        np.testing.assert_allclose(curated.y, unlabeled @ est.theta_hat, atol=1e-14)
 
     def test_noise_variance(self):
         w = make_world(D=8, d=3, seed=0)
@@ -123,7 +123,7 @@ class TestPseudoLabel:
         est = fit_ridge(labeled)
         nu = 0.35
         curated = pseudo_label(unlabeled, est, nu=nu, seed=3)
-        resid = curated.y_hat - unlabeled.X @ est.theta_hat
+        resid = curated.y - unlabeled @ est.theta_hat
         assert abs(resid.var() / nu**2 - 1.0) < 0.03
 
     def test_rejects_negative_nu(self):

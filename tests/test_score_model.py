@@ -223,6 +223,27 @@ class TestTraining:
         est = fit_ridge(labeled, lam=1e-6)
         return pseudo_label(unlabeled, est, nu, seed=seed + 1), est
 
+    def test_seed_codes_under_a_cell_seed_are_distinct(self):
+        import ast
+        import importlib
+        from pathlib import Path
+
+        import rcdiff
+
+        # The pipeline passes the cell seed to ``train`` as TrainConfig.seed,
+        # so every derive(seed, code, ...) in the package draws under a cell
+        # seed: each code is a named module constant, and no two are equal.
+        codes = {}
+        for path in sorted(Path(rcdiff.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "derive":
+                    code = node.args[1]
+                    assert isinstance(code, ast.Name), f"{path.name}:{node.lineno}"
+                    module = importlib.import_module(f"rcdiff.{path.stem}")
+                    codes[code.id] = getattr(module, code.id)
+        assert {"SEED_TRAIN_STEPS", "SEED_TRAIN_VAL", "SEED_WORLD"} <= set(codes)
+        assert len(set(codes.values())) == len(codes), codes
+
     def test_reference_training_config_is_expressible(self):
         cfg = TrainConfig(batch_size=32, epochs=10, learning_rate=8e-5)
         assert (cfg.batch_size, cfg.epochs, cfg.learning_rate) == (32, 10, 8e-5)

@@ -176,7 +176,7 @@ class TestGenerateDatasets:
     def test_default_sizes(self):
         w = make_world(seed=0)
         unlabeled, labeled = generate_datasets(w, seed=1)
-        assert unlabeled.n == 65536
+        assert unlabeled.shape == (65536, 64)
         assert labeled.n == 8192
 
     def test_noiseless_labels_are_exact(self):
@@ -187,7 +187,7 @@ class TestGenerateDatasets:
     def test_data_lies_on_support(self):
         w = make_world(D=16, d=4, seed=4)
         unlabeled, labeled = generate_datasets(w, n1=500, n2=300, noise_sigma=0.2, seed=5)
-        for X in (unlabeled.X, labeled.X):
+        for X in (unlabeled, labeled.X):
             _, x_perp = decompose(w, X)
             assert np.max(np.linalg.norm(x_perp, axis=1)) < 1e-8
 
@@ -195,7 +195,7 @@ class TestGenerateDatasets:
         sigma = np.diag([1.0, 0.6, 0.3])
         w = make_world(D=5, d=3, sigma=sigma, seed=6)
         unlabeled, _ = generate_datasets(w, n1=100_000, n2=2, noise_sigma=0.1, seed=7)
-        z = unlabeled.X @ w.A
+        z = unlabeled @ w.A
         emp = z.T @ z / z.shape[0]
         assert np.max(np.abs(emp - sigma)) < 0.03
 
@@ -203,7 +203,7 @@ class TestGenerateDatasets:
         w = make_world(D=8, d=3, seed=2)
         u1, l1 = generate_datasets(w, n1=100, n2=50, noise_sigma=0.3, seed=9)
         u2, l2 = generate_datasets(w, n1=100, n2=50, noise_sigma=0.3, seed=9)
-        assert np.array_equal(u1.X, u2.X)
+        assert np.array_equal(u1, u2)
         assert np.array_equal(l1.X, l2.X)
         assert np.array_equal(l1.y, l2.y)
 
