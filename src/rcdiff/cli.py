@@ -129,7 +129,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         score = st.score(None, st.oracle(world, io.load_ridge(st.sdir / "ridge.rctb")))
     else:
         score = io.load_model(st.sdir / "score_model.rctb")
-    batch = st.sample(score, a)
+    [batch] = st.sample(score, [a])
     print(f"wrote {batch.n} samples at a={a:g} to {st.sdir}/samples_a{io.a_tag(a)}.bin")
     return EXIT_OK
 

@@ -35,11 +35,16 @@ class TrainingDivergedError(RcdiffError, RuntimeError):
 
 
 class SamplerDivergedError(RcdiffError, RuntimeError):
-    """The backward SDE iteration produced a non-finite state."""
+    """The backward SDE iteration produced a non-finite state.
 
-    def __init__(self, step: int):
-        super().__init__(f"sampler state became non-finite at step {step}")
+    Carries the step index and the target value ``a`` of the first
+    non-finite row.
+    """
+
+    def __init__(self, step: int, a: float):
+        super().__init__(f"sampler state became non-finite at step {step} (target a={a:g})")
         self.step = step
+        self.a = a
 
 
 class ExtractionError(RcdiffError, ValueError):

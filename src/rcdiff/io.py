@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,16 @@ def read_blocks(path) -> tuple[dict, dict]:
 # Typed artifact helpers
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _fields_of(path):
+    """Report a metadata key, block or sidecar field that the file at ``path``
+    lacks as a ``ValidationError`` naming the file and the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
 def save_ridge(path, est) -> None:
     write_blocks(
         path,
@@ -153,12 +164,13 @@ def load_ridge(path):
     meta, blocks = read_blocks(path)
     if meta.get("kind") != "ridge":
         raise ValidationError(f"{path}: not a ridge estimate file")
-    return RidgeEstimate(
-        theta_hat=blocks["theta_hat"],
-        lam=float(meta["lambda"]),
-        n2=int(meta["n2"]),
-        sigma_hat_lambda=blocks["sigma_hat_lambda"],
-    )
+    with _fields_of(path):
+        return RidgeEstimate(
+            theta_hat=blocks["theta_hat"],
+            lam=float(meta["lambda"]),
+            n2=int(meta["n2"]),
+            sigma_hat_lambda=blocks["sigma_hat_lambda"],
+        )
 
 
 def save_model(path, model, schedule) -> None:
@@ -172,7 +184,8 @@ def load_model(path):
     meta, blocks = read_blocks(path)
     if meta.get("kind") != "score_model":
         raise ValidationError(f"{path}: not a score model file")
-    return model_from_blocks(meta, blocks)
+    with _fields_of(path):
+        return model_from_blocks(meta, blocks)
 
 
 def save_world(path, world) -> None:
@@ -193,13 +206,14 @@ def load_world(path):
     meta, blocks = read_blocks(path)
     if meta.get("kind") != "world":
         raise ValidationError(f"{path}: not a world file")
-    return SubspaceWorld(
-        A=blocks["A"],
-        Sigma=blocks["Sigma"],
-        beta_star=blocks["beta_star"],
-        offsupport_coeff=float(meta["offsupport_coeff"]),
-        offsupport_sign=str(meta["offsupport_sign"]),
-    )
+    with _fields_of(path):
+        return SubspaceWorld(
+            A=blocks["A"],
+            Sigma=blocks["Sigma"],
+            beta_star=blocks["beta_star"],
+            offsupport_coeff=float(meta["offsupport_coeff"]),
+            offsupport_sign=str(meta["offsupport_sign"]),
+        )
 
 
 def a_tag(a: float) -> str:
@@ -234,14 +248,16 @@ def load_samples(path_prefix):
     from .sampler import SampleBatch
 
     X = read_matrix(str(path_prefix) + ".bin")
-    side = read_json(str(path_prefix) + ".json")
-    return SampleBatch(
-        X=X,
-        a=float(side["a"]),
-        schedule=DiffusionSchedule.from_dict(side["schedule"]),
-        score_id=str(side["score_id"]),
-        seed=side["seed"],
-    )
+    json_path = str(path_prefix) + ".json"
+    side = read_json(json_path)
+    with _fields_of(json_path):
+        return SampleBatch(
+            X=X,
+            a=float(side["a"]),
+            schedule=DiffusionSchedule.from_dict(side["schedule"]),
+            score_id=str(side["score_id"]),
+            seed=side["seed"],
+        )
 
 
 # ---------------------------------------------------------------------------

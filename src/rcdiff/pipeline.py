@@ -2,8 +2,9 @@
 
 One run covers every (target value, seed) cell of the configured sweep.
 The expensive stages (data generation, ridge fit, score training) do not
-depend on the target value, so they execute once per seed; generation and
-metrics then run per cell.  All stage seeds derive from the cell's root
+depend on the target value, so they execute once per seed; generation runs
+every target of the seed at once (one ``seed<s>.sample`` timing), and
+metrics run per cell.  All stage seeds derive from the cell's root
 seed through fixed stage codes (see ``rng.derive``), making every artifact
 a pure function of the resolved configuration.
 
@@ -116,9 +117,11 @@ def _run_seed(cfg, out, seed, manifest, rows, log):
     curated = st.pseudo(unlabeled, est)
     oracle = st.oracle(world, est)
     score = st.score(curated, oracle)
+    # Released before sampling, which holds every target's state at once.
+    del unlabeled, labeled, curated
     V = world.A if cfg["score.variant"] == "oracle" else extract_subspace(score)
-    for a in cfg["sweep.a"]:
-        rows.append(st.metrics(st.sample(score, a), world, est, oracle, V))
+    for batch in st.sample(score, cfg["sweep.a"]):
+        rows.append(st.metrics(batch, world, est, oracle, V))
     for p in sorted(st.sdir.iterdir()):
         manifest.add_file(out, p)
 
@@ -227,16 +230,18 @@ class SeedStages:
                  f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
         return model
 
-    def sample(self, score, a):
-        """Generate at target ``a``, which must be one of ``sweep.a``: its
-        position there selects the noise stream."""
-        a_index = self.cfg["sweep.a"].index(a)
-        batch = self._timed(f"sample.a{io.a_tag(a)}", lambda: run_backward(
-            score, a, self.cfg["sample.n"], self.cfg.schedule(),
-            seed=derive(self.seed, SEED_SAMPLE, a_index),
+    def sample(self, score, targets) -> list:
+        """Generate at each of ``targets`` in one timed stage; returns their
+        batches.  Targets must be drawn from ``sweep.a``: a target's position
+        there selects its noise stream."""
+        sweep = self.cfg["sweep.a"]
+        seeds = [derive(self.seed, SEED_SAMPLE, sweep.index(a)) for a in targets]
+        batches = self._timed("sample", lambda: run_backward(
+            score, targets, self.cfg["sample.n"], self.cfg.schedule(), seeds=seeds,
         ))
-        io.save_samples(self.sdir / f"samples_a{io.a_tag(a)}", batch)
-        return batch
+        for batch in batches:
+            io.save_samples(self.sdir / f"samples_a{io.a_tag(batch.a)}", batch)
+        return batches
 
     def metrics(self, batch, world, est, oracle, V) -> dict:
         """Score one generated batch and write its record; returns its

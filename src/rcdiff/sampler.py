@@ -11,10 +11,19 @@ any remainder becomes one final shorter step with the score evaluated at the
 step's left endpoint.  The state after the last step approximates the
 noised conditional law at ``t0``.
 
-Splitting rule: the batch is generated in fixed chunks of ``CHUNK_SIZE``
-trajectories, the i-th chunk drawing from the i-th spawn of the seed.  The
-output therefore depends only on ``(score, a, n, schedule, seed)`` and never
-on how chunks are assigned to workers.
+Splitting rule: each target's batch is generated in fixed chunks of
+``CHUNK_SIZE`` trajectories, the i-th chunk drawing its start and its
+per-step noise from the i-th spawn of the target's seed.  The output for a
+target therefore depends only on ``(score, a, n, schedule, seed)``: not on
+the other targets sampled with it, nor on how chunks share score calls.
+
+All (target, chunk) chains of one call are stacked into one state with a
+per-row target ``y``.  Consecutive chunks share one score call as long as
+the call holds at most ``CALL_ENTRIES`` state entries (a chunk over the cap
+gets a call of its own); each group of chunks runs every step before the
+next group starts.  The Euler update runs in place, in the evaluation
+order of the formula above, so for a score that computes each row on its
+own the stacked call gives the bytes of one call per target.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from .oracle import DiffusionSchedule
 
 _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
+# Most state entries per score call: one 1024-row chunk at D = 64, six at D = 8.
+CALL_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -65,49 +76,89 @@ def backward_steps(schedule: DiffusionSchedule) -> list:
 
 def run_backward(
     score,
-    a: float,
+    targets,
     n: int,
     schedule: DiffusionSchedule,
     *,
-    seed,
-) -> SampleBatch:
-    """Generate ``n`` points conditioned on target value ``a``.
+    seeds,
+) -> list:
+    """Generate ``n`` points for each target value; one ``SampleBatch`` per target.
 
     ``score`` is any callable following the package convention
     ``score(x, y, t)`` that carries its dimension as ``D`` (and its
-    ``score_id``).  ``seed`` must be an int or a SeedSequence so
-    per-chunk streams can be derived.  The output is a pure function of
-    ``(score, a, n, schedule, seed)``.
+    ``score_id``) and returns a new (m, D) float array, which the sampler
+    updates in place.  ``seeds[i]`` seeds ``targets[i]`` and must be an
+    int or a SeedSequence so per-chunk streams can be derived.  Each
+    batch is a pure function of ``(score, a, n, schedule, seed)``.
     """
+    targets = [float(a) for a in targets]
+    seeds = list(seeds)
+    if not targets or len(seeds) != len(targets):
+        raise ValidationError("run_backward needs one seed per target and at least one target")
     if n < 1:
         raise ValidationError("n must be at least 1")
     D = getattr(score, "D", None)
     if D is None:
         raise ValidationError("the score must carry its dimension as D")
-    if isinstance(seed, np.random.Generator):
-        raise ValidationError("run_backward needs an int or SeedSequence seed")
+    if any(isinstance(seed, np.random.Generator) for seed in seeds):
+        raise ValidationError("run_backward needs int or SeedSequence seeds")
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else \
-        np.random.SeedSequence(int(seed))
+    # One row block per (target, chunk), target-major: (start, stop, generator).
+    blocks = []
+    for i, seed in enumerate(seeds):
+        root = seed if isinstance(seed, np.random.SeedSequence) else \
+            np.random.SeedSequence(int(seed))
+        for j, child in enumerate(root.spawn((n + CHUNK_SIZE - 1) // CHUNK_SIZE)):
+            start = i * n + j * CHUNK_SIZE
+            blocks.append((start, min(start + CHUNK_SIZE, (i + 1) * n),
+                           np.random.default_rng(child)))
+    groups = _call_groups(blocks, D)
+    x = np.empty((len(targets) * n, D))
+    y = np.repeat(targets, n)
+    noise = np.empty((max(g[-1][1] - g[0][0] for g in groups), D))
     steps = backward_steps(schedule)
     T = schedule.terminal_time
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    chunks = []
-    for child in root.spawn(n_chunks):
-        m = min(CHUNK_SIZE, n - CHUNK_SIZE * len(chunks))
-        rng = np.random.default_rng(child)
-        x = rng.standard_normal((m, D))
-        y = np.full(m, float(a))
+    for group in groups:
+        lo, hi = group[0][0], group[-1][1]
+        xg, yg, ng = x[lo:hi], y[lo:hi], noise[:hi - lo]
+        for start, stop, rng in group:
+            rng.standard_normal(out=x[start:stop])
+        draws = [(rng, ng[start - lo:stop - lo]) for start, stop, rng in group]
         t_bwd = 0.0
         for k, dt in enumerate(steps):
-            drift = 0.5 * x + score(x, y, T - t_bwd)
-            x = x + dt * drift + np.sqrt(dt) * rng.standard_normal((m, D))
-            if not np.all(np.isfinite(x)):
-                raise SamplerDivergedError(k)
+            drift = score(xg, yg, T - t_bwd)
+            # The noise buffer holds x / 2 until this step's noise is drawn.
+            np.multiply(xg, 0.5, out=ng)
+            drift += ng
+            drift *= dt
+            xg += drift
+            for rng, block in draws:
+                rng.standard_normal(out=block)
+            ng *= np.sqrt(dt)
+            xg += ng
+            if not np.isfinite(xg).all():
+                row = lo + int(np.argmin(np.isfinite(xg).all(axis=1)))
+                raise SamplerDivergedError(k, targets[row // n])
             t_bwd += dt
-        chunks.append(x)
-    return SampleBatch(X=np.concatenate(chunks, axis=0), a=float(a), schedule=schedule,
-                       score_id=getattr(score, "score_id", "unknown"), seed=_seed_repr(seed))
+    score_id = getattr(score, "score_id", "unknown")
+    return [SampleBatch(X=x[i * n:(i + 1) * n], a=a, schedule=schedule,
+                        score_id=score_id, seed=_seed_repr(seed))
+            for i, (a, seed) in enumerate(zip(targets, seeds))]
+
+
+def _call_groups(blocks, D) -> list:
+    """Consecutive row blocks packed into score calls of at most ``CALL_ENTRIES``
+    state entries each (a block over the cap makes a call of its own)."""
+    groups, rows = [], 0
+    for block in blocks:
+        m = block[1] - block[0]
+        if groups and (rows + m) * D <= CALL_ENTRIES:
+            groups[-1].append(block)
+            rows += m
+        else:
+            groups.append([block])
+            rows = m
+    return groups
 
 
 def _seed_repr(seed):

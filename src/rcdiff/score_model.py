@@ -275,9 +275,12 @@ class MlpScore(_EncoderDecoderScore):
 
     @classmethod
     def from_blocks(cls, meta: dict, blocks: dict) -> "MlpScore":
+        hidden = tuple(meta["hidden"])
+        # Every layer's block is looked up here, so a missing one fails the load.
+        names = ["V", *(f"{p}{i}" for i in range(1, len(hidden) + 2) for p in "Wb")]
         return cls(
             meta["D"], meta["d"], meta["nu"],
-            hidden=tuple(meta["hidden"]), seed=0, params=blocks,
+            hidden=hidden, seed=0, params={k: blocks[k] for k in names},
         )
 
 

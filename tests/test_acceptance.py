@@ -239,7 +239,7 @@ def test_criterion_10_determinism(tmp_path):
     score = AnalyticScore(GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5))
     schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
     for run in ("one", "two"):
-        batch = run_backward(score, a=2.0, n=4096, schedule=schedule, seed=11)
+        [batch] = run_backward(score, [2.0], 4096, schedule, seeds=[11])
         io.save_samples(tmp_path / f"c3_{run}", batch)
     assert (tmp_path / "c3_one.bin").read_bytes() == (tmp_path / "c3_two.bin").read_bytes()
     assert (tmp_path / "c3_one.json").read_bytes() == (tmp_path / "c3_two.json").read_bytes()

@@ -298,6 +298,17 @@ class TestStagedCommands:
             assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_COMPUTE
             assert "error" in capsys.readouterr().err
 
+    def test_ridge_without_lambda_is_compute_error(self, smoke_cfg, capsys):
+        cfg, out = smoke_cfg
+        main(["gen-data", "--config", str(cfg)])
+        main(["train-reward", "--config", str(cfg)])
+        ridge = out / "seed_0" / "ridge.rctb"
+        meta, blocks = io.read_blocks(ridge)
+        del meta["lambda"]
+        io.write_blocks(ridge, meta, blocks)
+        assert main(["train-score", "--config", str(cfg)]) == EXIT_COMPUTE
+        assert "ridge.rctb: missing key 'lambda'" in capsys.readouterr().err
+
     def test_missing_data_is_compute_error(self, smoke_cfg):
         cfg, _ = smoke_cfg
         assert main(["train-reward", "--config", str(cfg)]) == EXIT_COMPUTE

@@ -122,6 +122,23 @@ class TestTensorBlocks:
         with pytest.raises(ValidationError):
             io.load_model(tmp_path / "w.rctb")
 
+    @pytest.mark.parametrize("drop", ["meta:offsupport_sign", "block:Sigma",
+                                      "model:W2", "model:hidden"])
+    def test_missing_key_names_file_and_key(self, tmp_path, drop):
+        kind, key = drop.split(":")
+        if kind == "model":
+            io.save_model(tmp_path / "f.rctb", MlpScore(6, 2, hidden=(8, 8), seed=1),
+                          DiffusionSchedule(5.0, 0.05, 0.05))
+        else:
+            io.save_world(tmp_path / "f.rctb", make_world(D=6, d=2, seed=0))
+        meta, blocks = io.read_blocks(tmp_path / "f.rctb")
+        meta.pop(key, None)
+        blocks.pop(key, None)
+        io.write_blocks(tmp_path / "f.rctb", meta, blocks)
+        load = io.load_model if kind == "model" else io.load_world
+        with pytest.raises(ValidationError, match=f"f.rctb: missing key '{key}'"):
+            load(tmp_path / "f.rctb")
+
     def test_samples_roundtrip(self, tmp_path):
         sched = DiffusionSchedule(5.0, 0.05, 0.05)
         batch = SampleBatch(

@@ -95,7 +95,7 @@ class TestOffSupportDeviation:
         w = make_world(D=64, d=16, seed=4)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.0025)
-        batch = run_backward(AnalyticScore(orc), a=1.0, n=2048, schedule=sched, seed=5)
+        [batch] = run_backward(AnalyticScore(orc), [1.0], 2048, sched, seeds=[5])
         predicted = math.sqrt(sched.t0 * (64 - 16))
         assert abs(off_support_deviation(batch.X, w) - predicted) / predicted < 0.15
 
@@ -191,7 +191,7 @@ class TestPushforwardDiscrepancy:
         w = make_world(D=8, d=3, seed=0)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-        batch = run_backward(AnalyticScore(orc), a=2.0, n=8192, schedule=sched, seed=1)
+        [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[1])
         # Latent push-forward through the true frame against the noised
         # conditional latent law at the early-stop time.
         mean, cov = noised_conditional_law(orc, 2.0, sched.t0)

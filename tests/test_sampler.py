@@ -10,7 +10,7 @@ from rcdiff.oracle import (
     GaussianDesignOracle,
     noised_conditional_law,
 )
-from rcdiff.sampler import backward_steps, run_backward
+from rcdiff.sampler import CHUNK_SIZE, backward_steps, run_backward
 from rcdiff.world import make_world
 
 
@@ -42,7 +42,7 @@ class TestRunBackward:
     def test_zero_steps_returns_standard_normal_init(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=5.0, t0=5.0, eta=1.0)
-        batch = run_backward(AnalyticScore(orc), a=3.0, n=20_000, schedule=sched, seed=4)
+        [batch] = run_backward(AnalyticScore(orc), [3.0], 20_000, sched, seeds=[4])
         assert np.max(np.abs(batch.X.mean(axis=0))) < 0.03
         emp = np.cov(batch.X.T, bias=True)
         assert np.max(np.abs(emp - np.eye(4))) < 0.05
@@ -50,8 +50,8 @@ class TestRunBackward:
     def test_bit_identical_determinism(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=3.0, t0=0.05, eta=0.05)
-        b1 = run_backward(AnalyticScore(orc), a=1.0, n=64, schedule=sched, seed=9)
-        b2 = run_backward(AnalyticScore(orc), a=1.0, n=64, schedule=sched, seed=9)
+        [b1] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
+        [b2] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
         assert np.array_equal(b1.X, b2.X)
         assert b1.score_id == b2.score_id
 
@@ -60,7 +60,7 @@ class TestRunBackward:
         mean_err = {}
         for eta in (0.04, 0.02, 0.01, 0.005):
             sched = DiffusionSchedule(terminal_time=10.0, t0=0.04, eta=eta)
-            batch = run_backward(AnalyticScore(orc), a=2.0, n=8192, schedule=sched, seed=13)
+            [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[13])
             _, cov = noised_conditional_law(orc, 2.0, sched.t0)
             emp = np.cov(batch.X.T, bias=True)
             mean_err[eta] = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
@@ -74,7 +74,7 @@ class TestRunBackward:
         means = {}
         for t0 in (0.01, 0.04):
             sched = DiffusionSchedule(terminal_time=10.0, t0=t0, eta=0.005)
-            batch = run_backward(AnalyticScore(orc), a=2.0, n=8192, schedule=sched, seed=3)
+            [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[3])
             A = orc.world.A
             perp = batch.X - (batch.X @ A) @ A.T
             means[t0] = float(np.mean(np.linalg.norm(perp, axis=1)))
@@ -92,16 +92,16 @@ class TestRunBackward:
 
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
         with pytest.raises(SamplerDivergedError) as err:
-            run_backward(ExplodingScore(), a=0.0, n=8, schedule=sched, seed=0)
+            run_backward(ExplodingScore(), [0.0], 8, sched, seeds=[0])
         assert err.value.step >= 0
 
     def test_rejects_bad_count_and_missing_dim(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
         with pytest.raises(ValidationError):
-            run_backward(AnalyticScore(orc), a=0.0, n=0, schedule=sched, seed=0)
+            run_backward(AnalyticScore(orc), [0.0], 0, sched, seeds=[0])
         with pytest.raises(ValidationError):
-            run_backward(lambda x, y, t: x, a=0.0, n=4, schedule=sched, seed=0)
+            run_backward(lambda x, y, t: x, [0.0], 4, sched, seeds=[0])
 
     def test_callable_with_explicit_dim(self):
         class Contractor:
@@ -111,7 +111,7 @@ class TestRunBackward:
                 return -x
 
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        batch = run_backward(Contractor(), a=0.0, n=16, schedule=sched, seed=1)
+        [batch] = run_backward(Contractor(), [0.0], 16, sched, seeds=[1])
         assert batch.X.shape == (16, 3)
         assert batch.score_id == "contractor"
 
@@ -119,19 +119,73 @@ class TestRunBackward:
         # The fixed splitting rule makes the first chunk of a larger batch
         # identical to a batch of exactly one chunk: output cannot depend
         # on how chunks are distributed over workers.
-        from rcdiff.sampler import CHUNK_SIZE
-
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        big = run_backward(AnalyticScore(orc), a=1.0, n=CHUNK_SIZE + 200,
-                           schedule=sched, seed=5)
-        small = run_backward(AnalyticScore(orc), a=1.0, n=CHUNK_SIZE,
-                             schedule=sched, seed=5)
+        [big] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE + 200, sched, seeds=[5])
+        [small] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE, sched, seeds=[5])
         assert np.array_equal(big.X[:CHUNK_SIZE], small.X)
 
     def test_generator_seed_rejected(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
         with pytest.raises(ValidationError):
-            run_backward(AnalyticScore(orc), a=0.0, n=4, schedule=sched,
-                         seed=np.random.default_rng(0))
+            run_backward(AnalyticScore(orc), [0.0], 4, sched,
+                         seeds=[np.random.default_rng(0)])
+
+
+class TestStackedTargets:
+    """Every target of a call is stepped as one stacked state."""
+
+    SCHED = DiffusionSchedule(terminal_time=1.0, t0=0.1, eta=0.1)
+
+    def test_stacked_call_matches_single_target_calls(self):
+        # D = 8 packs both chunks of all three targets into one score call,
+        # so that call crosses the row boundaries between targets.
+        score = AnalyticScore(_oracle(D=8, d=2))
+        targets, seeds = [0.0, 2.0, -1.5], [3, np.random.SeedSequence([4, 20, 1]), 5]
+        n = CHUNK_SIZE + 200
+        stacked = run_backward(score, targets, n, self.SCHED, seeds=seeds)
+        for a, seed, batch in zip(targets, seeds, stacked):
+            if isinstance(seed, np.random.SeedSequence):
+                # A fresh one: spawning chunk streams advances the one passed in.
+                seed = np.random.SeedSequence(seed.entropy)
+            [single] = run_backward(score, [a], n, self.SCHED, seeds=[seed])
+            assert batch.a == a and batch.X.shape == (n, 8)
+            assert batch.X.tobytes() == single.X.tobytes()
+            assert batch.seed == single.seed and batch.score_id == single.score_id
+
+    @pytest.mark.parametrize("D, calls_per_step", [(8, 1), (64, 6)])
+    def test_score_calls_per_step(self, D, calls_per_step):
+        rows = []
+
+        class Counting:
+            score_id = "counting"
+
+            def __call__(self, x, y, t):
+                rows.append(x.shape[0])
+                return -x
+
+        Counting.D = D
+        run_backward(Counting(), [0.0, 1.0, 2.0], 2 * CHUNK_SIZE, self.SCHED, seeds=[0, 1, 2])
+        assert len(rows) == len(backward_steps(self.SCHED)) * calls_per_step
+        assert sum(rows) == len(backward_steps(self.SCHED)) * 6 * CHUNK_SIZE
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_target(self):
+        class ExplodesAtTwo:
+            D, score_id = 4, "explodes-at-two"
+
+            def __call__(self, x, y, t):
+                return np.where((y == 2.0)[:, None], x * 1e200, -x)
+
+        with pytest.raises(SamplerDivergedError) as err:
+            run_backward(ExplodesAtTwo(), [0.0, 2.0, 4.0], 16, self.SCHED, seeds=[0, 1, 2])
+        # One step to 1e199, the next past the float range.
+        assert err.value.step == 1
+        assert err.value.a == 2.0
+        assert "a=2" in str(err.value)
+
+    @pytest.mark.parametrize("targets, seeds", [([], []), ([0.0, 1.0], [0]), ([0.0], [0, 1])])
+    def test_mismatched_or_empty_targets_rejected(self, targets, seeds):
+        with pytest.raises(ValidationError):
+            run_backward(AnalyticScore(_oracle()), targets, 4, self.SCHED, seeds=seeds)
