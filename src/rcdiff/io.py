@@ -158,21 +158,6 @@ def save_ridge(path, est) -> None:
     )
 
 
-def load_ridge(path):
-    from .regression import RidgeEstimate
-
-    meta, blocks = read_blocks(path)
-    if meta.get("kind") != "ridge":
-        raise ValidationError(f"{path}: not a ridge estimate file")
-    with _fields_of(path):
-        return RidgeEstimate(
-            theta_hat=blocks["theta_hat"],
-            lam=float(meta["lambda"]),
-            n2=int(meta["n2"]),
-            sigma_hat_lambda=blocks["sigma_hat_lambda"],
-        )
-
-
 def save_model(path, model, schedule) -> None:
     meta, blocks = model.to_blocks()
     write_blocks(path, {"kind": "score_model", **meta, "schedule": schedule.to_dict()}, blocks)
@@ -301,9 +286,11 @@ class ManifestBuilder:
             "complete": False,
         }
 
-    def add_file(self, root, path) -> None:
-        rel = os.path.relpath(path, root)
-        self.data["files"][rel] = sha256_file(path)
+    def add_file(self, root, path) -> str:
+        """Record ``path`` under its path relative to ``root``; returns its sha256."""
+        digest = sha256_file(path)
+        self.data["files"][os.path.relpath(path, root)] = digest
+        return digest
 
     def add_timing(self, name: str, seconds: float) -> None:
         self.data["timings_s"][name] = round(seconds, 3)

@@ -108,7 +108,10 @@ def run_backward(
     for i, seed in enumerate(seeds):
         root = seed if isinstance(seed, np.random.SeedSequence) else \
             np.random.SeedSequence(int(seed))
-        for j, child in enumerate(root.spawn((n + CHUNK_SIZE - 1) // CHUNK_SIZE)):
+        for j in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
+            # root.spawn's j-th child, built without advancing root's spawn count.
+            child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (j,),
+                                           pool_size=root.pool_size)
             start = i * n + j * CHUNK_SIZE
             blocks.append((start, min(start + CHUNK_SIZE, (i + 1) * n),
                            np.random.default_rng(child)))

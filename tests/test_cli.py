@@ -1,7 +1,6 @@
 """Command-line harness: exit codes, artifacts, idempotence, figures."""
 
 import json
-import struct
 
 import pytest
 
@@ -222,93 +221,106 @@ class TestValidateCommand:
         assert time.perf_counter() - start < 1.0
 
 
-class TestStagedCommands:
-    def test_staged_flow_matches_pipeline_layout(self, smoke_cfg, tmp_path):
+def _pipeline(cfg, *flags):
+    return main(["pipeline", "--config", str(cfg), *flags])
+
+
+def _assert_same_run(run, fresh):
+    """``run`` lists the files of the ``--force`` run ``fresh``, and only
+    those, with equal bytes; the manifests agree apart from timings."""
+    manifests = [io.read_json(d / "manifest.json") for d in (run, fresh)]
+    for manifest in manifests:
+        del manifest["timings_s"]
+    assert manifests[0] == manifests[1]
+    written = {p.relative_to(fresh).as_posix() for p in fresh.rglob("*") if p.is_file()}
+    assert set(manifests[1]["files"]) == written - {"manifest.json"}
+    assert io.verify_manifest(run) == []
+
+
+def test_every_config_key_is_a_model_key_or_only_changes_its_use():
+    from rcdiff.config import SCHEMA
+    from rcdiff.pipeline import MODEL_KEYS
+
+    use_keys = {"sample.n", "sweep.a", "sweep.seeds", "metrics.n_ref",
+                "metrics.histogram_bins", "out.dir"}
+    model_keys = {key for key in SCHEMA if key.startswith(MODEL_KEYS)}
+    assert model_keys.isdisjoint(use_keys)
+    assert set(SCHEMA) - model_keys == use_keys
+
+
+def test_manifest_lists_no_stale_file(smoke_cfg):
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+    assert _pipeline(cfg) == EXIT_OK
+    cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0"))
+    assert _pipeline(cfg) == EXIT_OK
+    assert (out / "seed_0" / "samples_a2.bin").exists()
+    files = io.read_json(out / "manifest.json")["files"]
+    assert not any("_a2." in rel for rel in files)
+    assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+    _assert_same_run(out, out.parent / "fresh")
+
+
+@pytest.mark.parametrize("variant", ["mlp", "covering"])
+class TestModelReuse:
+    @pytest.fixture()
+    def trained(self, smoke_cfg, variant, capsys):
         cfg, out = smoke_cfg
-        assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-        assert main(["train-reward", "--config", str(cfg)]) == EXIT_OK
-        assert main(["train-score", "--config", str(cfg)]) == EXIT_OK
-        assert main(["sample", "--config", str(cfg), "--a", "2"]) == EXIT_OK
-        assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_OK
-        sdir = out / "seed_0"
-        for name in ("world.rctb", "labeled.bin", "ridge.rctb",
-                     "score_model.rctb", "samples_a2.bin", "samples_a2.json"):
-            assert (sdir / name).exists()
-        side = json.loads((sdir / "samples_a2.json").read_text())
-        assert side["a"] == 2.0
-        assert side["n"] == 256
+        cfg.write_text(cfg.read_text() + f"score.variant = {variant}\n")
+        assert _pipeline(cfg) == EXIT_OK
+        assert "seed 0: trained" in capsys.readouterr().out
+        return cfg, out
 
-        # Every per-seed file both flows write is byte-identical.
-        assert main(["pipeline", "--config", str(cfg),
-                     "--out", str(tmp_path / "full")]) == EXIT_OK
-        full = tmp_path / "full" / "seed_0"
-        staged = {p.name for p in sdir.iterdir()}
-        shared = staged & {p.name for p in full.iterdir()}
-        assert staged - shared == {"train_trace.json"}
-        assert {"pseudo_labels.bin", "samples_a0.bin", "labeled.csv"} <= shared
-        for name in sorted(shared):
-            assert (sdir / name).read_bytes() == (full / name).read_bytes(), name
+    def test_sweep_change_reuses_the_model(self, trained, capsys):
+        cfg, out = trained
+        model = out / "seed_0" / "score_model.rctb"
+        before = model.stat()
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
+        assert _pipeline(cfg) == EXIT_OK
+        assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
+        after = model.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
+        # --force never reads the record: it retrains over a reusable model.
+        assert _pipeline(cfg, "--force") == EXIT_OK
+        assert "seed 0: trained" in capsys.readouterr().out
 
-    def test_sample_outside_sweep_is_config_error(self, smoke_cfg, capsys):
-        cfg, out = smoke_cfg
-        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
-        main(["gen-data", "--config", str(cfg)])
-        main(["train-reward", "--config", str(cfg)])
-        before = sorted(p.name for p in (out / "seed_0").iterdir())
-        assert main(["sample", "--config", str(cfg), "--a", "3"]) == EXIT_CONFIG
-        assert "sweep.a" in capsys.readouterr().err
-        assert sorted(p.name for p in (out / "seed_0").iterdir()) == before
+    @pytest.mark.parametrize("key, value", [("score.epochs", 2), ("reward.lambda", 0.5)])
+    def test_training_input_change_retrains(self, trained, key, value, capsys):
+        cfg, out = trained
+        lines = [line for line in cfg.read_text().splitlines() if not line.startswith(key)]
+        cfg.write_text("\n".join(lines) + f"\n{key} = {value}\n")
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: trained" in log and "reusing" not in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
 
-    def test_sample_with_oracle_score(self, smoke_cfg):
-        cfg, out = smoke_cfg
-        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
-        main(["gen-data", "--config", str(cfg)])
-        main(["train-reward", "--config", str(cfg)])
-        assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_OK
-        side = json.loads((out / "seed_0" / "samples_a0.json").read_text())
-        assert side["score_id"].startswith("oracle:")
+    def test_flipped_model_byte_retrains(self, trained, capsys):
+        cfg, out = trained
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 2"))
+        model = out / "seed_0" / "score_model.rctb"
+        raw = bytearray(model.read_bytes())
+        raw[-1] ^= 0x01  # still a loadable model, with one weight changed
+        model.write_bytes(bytes(raw))
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: trained" in log and "reusing" not in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
 
-    def test_train_score_under_oracle_is_config_error(self, smoke_cfg, capsys):
-        cfg, out = smoke_cfg
-        cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
-        main(["gen-data", "--config", str(cfg)])
-        main(["train-reward", "--config", str(cfg)])
-        before = {p.name: p.read_bytes() for p in (out / "seed_0").iterdir()}
-        assert main(["train-score", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "oracle" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in (out / "seed_0").iterdir()} == before
-
-    def test_corrupted_model_file_is_compute_error(self, smoke_cfg, capsys):
-        cfg, out = smoke_cfg
-        main(["gen-data", "--config", str(cfg)])
-        main(["train-reward", "--config", str(cfg)])
-        main(["train-score", "--config", str(cfg)])
-        model_path = out / "seed_0" / "score_model.rctb"
-        whole = model_path.read_bytes()
-        bad_version = bytearray(whole)
-        bad_version[5] ^= 0xFF
-        oversized = bytearray(whole)
-        # The first dim of the first block: after the metadata, the u32 block
-        # count, the u32 name length and the name, and the u32 rank.
-        (meta_len,) = struct.unpack_from("<Q", whole, 8)
-        (name_len,) = struct.unpack_from("<I", whole, 16 + meta_len + 4)
-        struct.pack_into("<Q", oversized, 16 + meta_len + 8 + name_len + 4, 10**6)
-        for raw in (bad_version, oversized):
-            model_path.write_bytes(bytes(raw))
-            assert main(["sample", "--config", str(cfg), "--a", "0"]) == EXIT_COMPUTE
-            assert "error" in capsys.readouterr().err
-
-    def test_ridge_without_lambda_is_compute_error(self, smoke_cfg, capsys):
-        cfg, out = smoke_cfg
-        main(["gen-data", "--config", str(cfg)])
-        main(["train-reward", "--config", str(cfg)])
-        ridge = out / "seed_0" / "ridge.rctb"
-        meta, blocks = io.read_blocks(ridge)
-        del meta["lambda"]
-        io.write_blocks(ridge, meta, blocks)
-        assert main(["train-score", "--config", str(cfg)]) == EXIT_COMPUTE
-        assert "ridge.rctb: missing key 'lambda'" in capsys.readouterr().err
-
-    def test_missing_data_is_compute_error(self, smoke_cfg):
-        cfg, _ = smoke_cfg
-        assert main(["train-reward", "--config", str(cfg)]) == EXIT_COMPUTE
+    def test_failed_run_keeps_the_models_it_trained(self, trained, capsys):
+        cfg, out = trained
+        cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1"))
+        squatter = out / "seed_1" / "world.rctb"
+        squatter.mkdir(parents=True)
+        assert _pipeline(cfg) == EXIT_COMPUTE
+        assert io.read_json(out / "manifest.json")["complete"] is False
+        squatter.rmdir()
+        capsys.readouterr()
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: reusing" in log and "seed 1: trained" in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")

@@ -9,7 +9,6 @@ from rcdiff import io
 from rcdiff.config import RunConfig, SCHEMA, load_config, parse_config_text
 from rcdiff.errors import ConfigError, ValidationError
 from rcdiff.oracle import DiffusionSchedule
-from rcdiff.regression import RidgeEstimate
 from rcdiff.sampler import SampleBatch
 from rcdiff.score_model import CoveringScore, MlpScore
 from rcdiff.world import make_world
@@ -84,27 +83,22 @@ class TestTensorBlocks:
         whole = path.read_bytes()
         scrambled = bytearray(whole)
         scrambled[6] ^= 0xFF  # the metadata length
+        bad_version = bytearray(whole)
+        bad_version[5] ^= 0xFF
         oversized = bytearray(whole)
         # The first dim of block "W", after its name and its u32 rank.
         struct.pack_into("<Q", oversized, whole.index(b"W") + 1 + 4, 10**6)
-        for raw in (scrambled, oversized):
+        for raw in (scrambled, bad_version, oversized):
             path.write_bytes(bytes(raw))
             with pytest.raises(ValidationError):
                 io.read_blocks(path)
 
-    def test_world_and_ridge_roundtrip(self, tmp_path):
+    def test_world_roundtrip(self, tmp_path):
         w = make_world(D=6, d=2, seed=0)
         io.save_world(tmp_path / "w.rctb", w)
         w2 = io.load_world(tmp_path / "w.rctb")
         np.testing.assert_array_equal(w2.A, w.A)
         assert w2.offsupport_sign == w.offsupport_sign
-
-        est = RidgeEstimate(theta_hat=w.theta_star, lam=0.5, n2=16,
-                            sigma_hat_lambda=np.eye(6))
-        io.save_ridge(tmp_path / "r.rctb", est)
-        est2 = io.load_ridge(tmp_path / "r.rctb")
-        np.testing.assert_array_equal(est2.theta_hat, est.theta_hat)
-        assert (est2.lam, est2.n2) == (0.5, 16)
 
     @pytest.mark.parametrize("variant", ["covering", "mlp"])
     def test_model_roundtrip(self, tmp_path, variant):

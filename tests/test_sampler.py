@@ -55,6 +55,20 @@ class TestRunBackward:
         assert np.array_equal(b1.X, b2.X)
         assert b1.score_id == b2.score_id
 
+    def test_seed_sequence_is_not_advanced(self):
+        orc = _oracle()
+        sched = DiffusionSchedule(terminal_time=1.0, t0=0.05, eta=0.05)
+        ss = np.random.SeedSequence([3, 20, 1])
+        n = CHUNK_SIZE + 8  # two chunks, so two child streams
+        [b1] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
+        [b2] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
+        [fresh] = run_backward(AnalyticScore(orc), [1.0], n, sched,
+                               seeds=[np.random.SeedSequence([3, 20, 1])])
+        assert ss.n_children_spawned == 0
+        assert b1.seed == b2.seed
+        assert np.array_equal(b1.X, b2.X)
+        assert np.array_equal(b1.X, fresh.X)
+
     def test_covariance_error_nonincreasing_in_step_size(self):
         orc = _oracle()
         mean_err = {}
