@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import RcdiffError
+from .errors import RcdiffError, ValidationError
 from .pipeline import read_metrics_csv
 from .svgplot import Series, render_line_plot
 from .world import true_reward
@@ -82,7 +82,11 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
 
 
 def _emit_histograms(run_dir, out, rows, log) -> None:
-    bins = io.read_json(run_dir / "manifest.json")["config"]["metrics.histogram_bins"]
+    manifest_path = run_dir / "manifest.json"
+    try:
+        bins = io.read_json(manifest_path)["config"]["metrics.histogram_bins"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{manifest_path}: no config with metrics.histogram_bins") from exc
     a_values = sorted({row["a"] for row in rows})
     worlds = {seed: io.load_world(run_dir / f"seed_{seed}" / "world.rctb")
               for seed in sorted({row["seed"] for row in rows})}

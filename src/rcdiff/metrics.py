@@ -29,7 +29,6 @@ from .oracle import (
     sample_conditional_latents,
 )
 from .regression import RidgeEstimate
-from .rng import as_generator
 from .sampler import SampleBatch
 from .world import SubspaceWorld, decompose, true_reward
 
@@ -87,7 +86,7 @@ def subopt_decomposition(
     embedded through the true subspace; the off-support term is reported as
     a magnitude regardless of the world's reward sign convention.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     z_ref = sample_conditional_latents(oracle, a, n_ref, rng)
     x_ref = z_ref @ world.A.T
 

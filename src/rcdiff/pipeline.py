@@ -12,7 +12,7 @@ Training is the one stage kept between runs: a rerun, after a failed run
 or a change to keys outside ``MODEL_KEYS`` (``sweep.a``, ``sample.*``,
 ``metrics.*``), loads each seed's ``score_model.rctb`` instead of training
 again when the last run's training record of that seed still matches it
-(see ``SeedStages.score``), and writes the bytes a ``force`` run writes.
+(see ``_run_seed``), and writes the bytes a ``force`` run writes.
 
 Artifacts under the output directory::
 
@@ -36,9 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import io
 from .config import RunConfig
@@ -83,11 +81,12 @@ class PipelineStageError(RcdiffError, RuntimeError):
 
 def _read_manifest(out_dir) -> dict:
     """The manifest an earlier run left in ``out_dir``, finished or not;
-    empty when there is none or it cannot be read."""
+    empty when there is none or it cannot be read as an object."""
     try:
-        return io.read_json(Path(out_dir) / "manifest.json")
+        manifest = io.read_json(Path(out_dir) / "manifest.json")
     except (OSError, ValidationError):
         return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
@@ -108,19 +107,22 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
     if not force and is_up_to_date(cfg, out):
         log(f"up to date: {out}")
         return out
-    trained = {} if force else _read_manifest(out).get("training", {})
+    trained = None if force else _read_manifest(out).get("training")
+    trained = trained if isinstance(trained, dict) else {}
     out.mkdir(parents=True, exist_ok=True)
     manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
     rows = []
     try:
         for seed in cfg["sweep.seeds"]:
-            st = SeedStages(cfg, seed, out / f"seed_{seed}", manifest,
-                            trained.get(str(seed), {}), log)
-            rows.extend(_run_seed(st))
+            rows.extend(_run_seed(cfg, seed, out, manifest, trained.get(str(seed), {}), log))
         csv_path = out / "metrics.csv"
         _write_csv(csv_path, rows)
         manifest.add_file(out, csv_path)
     except Exception as exc:
+        # Each seed this run did not record keeps the last run's record, so
+        # the next run can still reuse its model after the key and sha256 check.
+        for seed, record in trained.items():
+            manifest.data.setdefault("training", {}).setdefault(seed, record)
         manifest.write(out / "manifest.json", complete=False)
         if isinstance(exc, PipelineStageError):
             raise
@@ -130,161 +132,121 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
     return out
 
 
-def _run_seed(st) -> list:
-    """Run the stages of one seed in order; returns its ``metrics.csv`` rows."""
-    world, unlabeled, labeled = st.data()
-    est = st.ridge(labeled)
-    curated = st.pseudo(unlabeled, est)
-    oracle = st.oracle(world, est)
-    score = st.score(curated, oracle)
-    # Released before sampling, which holds every target's state at once.
-    del unlabeled, labeled, curated
-    V = world.A if st.cfg["score.variant"] == "oracle" else extract_subspace(score)
-    return [st.metrics(batch, world, est, oracle, V) for batch in st.sample(score)]
-
-
-@dataclass
-class SeedStages:
-    """The stages of one seed, each computing from in-memory inputs and
-    writing its artifacts under ``sdir``.
+def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder,
+              previous: dict, log) -> list:
+    """Run the stages of one seed in order, writing their artifacts under
+    ``out/seed_<seed>``; returns the seed's ``metrics.csv`` rows.
 
     ``manifest`` gets the stage timings, the training and oracle records
     and the sha256 of each file a stage writes or reuses, so it lists no
-    stale file of an earlier run.  ``previous`` is the last run's training
-    record of this seed (empty if none), which ``score`` checks.
+    stale file of an earlier run.  Under ``score.variant = oracle`` the
+    sampler follows the oracle's closed-form score.  Otherwise the seed's
+    ``score_model.rctb`` is loaded when ``previous``, the last run's training
+    record of this seed, holds this model's key (the seed and every config
+    value under ``MODEL_KEYS``) and the file's sha256, and is trained on the
+    curated labels and saved when it does not.
     """
+    sdir = out / f"seed_{seed}"
 
-    cfg: RunConfig
-    seed: int
-    sdir: Path
-    manifest: io.ManifestBuilder
-    previous: dict
-    log: Callable = lambda msg: None
-
-    def _keep(self, path) -> str:
-        """Record ``path`` as a file of this run; returns its sha256."""
-        return self.manifest.add_file(self.sdir.parent, path)
-
-    def _write(self, writer, name, *args) -> None:
-        writer(self.sdir / name, *args)
-        self._keep(self.sdir / name)
-
-    def _timed(self, name, fn):
-        name = f"seed{self.seed}.{name}"
+    def timed(name, fn):
+        name = f"seed{seed}.{name}"
         start = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
-        self.manifest.add_timing(name, time.perf_counter() - start)
+        manifest.add_timing(name, time.perf_counter() - start)
         return result
 
-    def data(self):
-        """World and datasets; returns ``(world, unlabeled, labeled)``."""
-        cfg, sdir = self.cfg, self.sdir
-        sdir.mkdir(parents=True, exist_ok=True)
-        world = self._timed("world", lambda: make_world(
-            cfg["world.D"], cfg["world.d"], cfg.sigma,
-            cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
-            seed=derive(self.seed, SEED_WORLD),
-        ))
-        self._write(io.save_world, "world.rctb", world)
-        unlabeled, labeled = self._timed("data", lambda: generate_datasets(
-            world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
-            seed=derive(self.seed, SEED_DATA),
-        ))
-        self._write(io.write_matrix, "unlabeled.bin", unlabeled)
-        self._write(io.write_matrix, "labeled.bin", labeled.X)
-        self._write(io.write_matrix, "labeled_y.bin", labeled.y.reshape(-1, 1))
-        self._write(io.export_csv, "labeled.csv", labeled.X, labeled.y)
-        return world, unlabeled, labeled
+    def write(writer, name, *args) -> None:
+        writer(sdir / name, *args)
+        manifest.add_file(out, sdir / name)
 
-    def ridge(self, labeled):
-        est = self._timed("ridge", lambda: fit_ridge(labeled, self.cfg["reward.lambda"]))
-        self._write(io.save_ridge, "ridge.rctb", est)
-        return est
+    sdir.mkdir(parents=True, exist_ok=True)
+    world = timed("world", lambda: make_world(
+        cfg["world.D"], cfg["world.d"], cfg.sigma,
+        cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
+        seed=derive(seed, SEED_WORLD),
+    ))
+    write(io.save_world, "world.rctb", world)
+    unlabeled, labeled = timed("data", lambda: generate_datasets(
+        world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
+        seed=derive(seed, SEED_DATA),
+    ))
+    write(io.write_matrix, "unlabeled.bin", unlabeled)
+    write(io.write_matrix, "labeled.bin", labeled.X)
+    write(io.write_matrix, "labeled_y.bin", labeled.y.reshape(-1, 1))
+    write(io.export_csv, "labeled.csv", labeled.X, labeled.y)
 
-    def pseudo(self, unlabeled, est):
-        curated = self._timed("pseudo", lambda: pseudo_label(
-            unlabeled, est, self.cfg.nu, seed=derive(self.seed, SEED_PSEUDO),
-        ))
-        self._write(io.write_matrix, "pseudo_labels.bin", curated.y.reshape(-1, 1))
-        return curated
+    est = timed("ridge", lambda: fit_ridge(labeled, cfg["reward.lambda"]))
+    write(io.save_ridge, "ridge.rctb", est)
+    curated = timed("pseudo", lambda: pseudo_label(
+        unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
+    ))
+    write(io.write_matrix, "pseudo_labels.bin", curated.y.reshape(-1, 1))
 
-    def oracle(self, world, est) -> GaussianDesignOracle:
-        """The closed-form reference for the fitted reward, recorded in the manifest."""
-        oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=self.cfg.nu)
-        self.manifest.data.setdefault("oracle", {})[str(self.seed)] = {
-            "nu": self.cfg.nu,
-            "beta_hat": [float(v) for v in oracle.beta_hat],
-            "params_digest": oracle.params_digest(),
-        }
-        return oracle
+    # The closed-form reference for the fitted reward, recorded in the manifest.
+    oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=cfg.nu)
+    manifest.data.setdefault("oracle", {})[str(seed)] = {
+        "nu": cfg.nu,
+        "beta_hat": [float(v) for v in oracle.beta_hat],
+        "params_digest": oracle.params_digest(),
+    }
 
-    def score(self, curated, oracle):
-        """The score the sampler follows, by ``score.variant``: the variant
-        ``oracle`` is the closed-form score of the ``oracle`` argument (no
-        training).  ``mlp`` and ``covering`` load ``score_model.rctb`` when
-        ``previous`` holds this model's key (the seed and every config value
-        under ``MODEL_KEYS``) and the file's sha256; otherwise they train on
-        ``curated`` and save the model.  The training record, loss traces,
-        key and sha256, goes to the manifest."""
-        cfg = self.cfg
-        if cfg["score.variant"] == "oracle":
-            return AnalyticScore(oracle)
-        path, schedule = self.sdir / "score_model.rctb", cfg.schedule()
-        key = io.sha256_text(json.dumps([self.seed, {
+    if cfg["score.variant"] == "oracle":
+        score = AnalyticScore(oracle)
+    else:
+        path, schedule = sdir / "score_model.rctb", cfg.schedule()
+        key = io.sha256_text(json.dumps([seed, {
             k: v for k, v in cfg.values.items() if k.startswith(MODEL_KEYS)}], sort_keys=True))
-        prev = self.previous
-        if prev.get("key") == key and path.is_file() and io.sha256_file(path) == prev.get("sha256"):
-            model, record = io.load_model(path), dict(prev)
-            self.log(f"seed {self.seed}: reusing score_model.rctb")
+        if (previous.get("key") == key and path.is_file()
+                and io.sha256_file(path) == previous.get("sha256")):
+            score, record = io.load_model(path), dict(previous)
+            log(f"seed {seed}: reusing score_model.rctb")
         else:
-            D, d, init = cfg["world.D"], cfg["world.d"], derive(self.seed, SEED_MODEL)
+            D, d, init = cfg["world.D"], cfg["world.d"], derive(seed, SEED_MODEL)
             if cfg["score.variant"] == "covering":
-                model = CoveringScore(D, d, cfg.nu, seed=init)
+                score = CoveringScore(D, d, cfg.nu, seed=init)
             else:
-                model = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
-            result = self._timed("train", lambda: train(
-                model, curated, cfg.train_config(self.seed), schedule,
+                score = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
+            result = timed("train", lambda: train(
+                score, curated, cfg.train_config(seed), schedule,
             ))
-            io.save_model(path, model, schedule)
+            io.save_model(path, score, schedule)
             record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
                       "key": key}
-            self.log(f"seed {self.seed}: trained "
-                     f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
-        record["sha256"] = self._keep(path)
-        self.manifest.data.setdefault("training", {})[str(self.seed)] = record
-        return model
+            log(f"seed {seed}: trained "
+                f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
+        record["sha256"] = manifest.add_file(out, path)
+        manifest.data.setdefault("training", {})[str(seed)] = record
 
-    def sample(self, score) -> list:
-        """Generate at every target of ``sweep.a`` in one timed stage; returns
-        their batches.  The i-th target draws noise stream i."""
-        targets = self.cfg["sweep.a"]
-        seeds = [derive(self.seed, SEED_SAMPLE, i) for i in range(len(targets))]
-        batches = self._timed("sample", lambda: run_backward(
-            score, targets, self.cfg["sample.n"], self.cfg.schedule(), seeds=seeds,
-        ))
-        for batch in batches:
-            for path in io.save_samples(self.sdir / f"samples_a{io.a_tag(batch.a)}", batch):
-                self._keep(path)
-        return batches
+    # Released before sampling, which holds every target's state at once.
+    del unlabeled, labeled, curated
+    V = world.A if cfg["score.variant"] == "oracle" else extract_subspace(score)
 
-    def metrics(self, batch, world, est, oracle, V) -> dict:
-        """Score one generated batch and write its record; returns its
-        ``metrics.csv`` row."""
-        cfg, a = self.cfg, batch.a
-        record = self._timed(f"metrics.a{io.a_tag(a)}", lambda: build_metrics_report(
+    # Every target of ``sweep.a`` in one timed stage; the i-th target draws
+    # noise stream i and metrics stream i.
+    targets = cfg["sweep.a"]
+    seeds = [derive(seed, SEED_SAMPLE, i) for i in range(len(targets))]
+    batches = timed("sample", lambda: run_backward(
+        score, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds,
+    ))
+    rows = []
+    for i, batch in enumerate(batches):
+        tag = io.a_tag(batch.a)
+        for path in io.save_samples(sdir / f"samples_a{tag}", batch):
+            manifest.add_file(out, path)
+        record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
             batch, world, est, oracle, V,
             n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
-            seed=derive(self.seed, SEED_METRICS, cfg["sweep.a"].index(a)),
+            seed=derive(seed, SEED_METRICS, i),
         ))
-        self._write(io.write_json, f"metrics_a{io.a_tag(a)}.json", record)
-        row = {col: self.seed if key is None else record[key]
-               for col, key in CSV_COLUMNS.items()}
-        self.log(f"seed {self.seed} a={a:g}: reward {row['avg_reward']:+.3f} "
-                 f"offsupport {row['offsupport']:.3f}")
-        return row
+        write(io.write_json, f"metrics_a{tag}.json", record)
+        row = {col: seed if key is None else record[key] for col, key in CSV_COLUMNS.items()}
+        log(f"seed {seed} a={batch.a:g}: reward {row['avg_reward']:+.3f} "
+            f"offsupport {row['offsupport']:.3f}")
+        rows.append(row)
+    return rows
 
 
 def _write_csv(path, rows) -> None:

@@ -21,7 +21,6 @@ from scipy import linalg
 
 from .errors import RankError, ValidationError
 from .oracle import GaussianDesignOracle, conditional_latent_law
-from .rng import as_generator
 from .world import LabeledDataset, SubspaceWorld
 
 MAX_COND = 1e12
@@ -94,7 +93,7 @@ def pseudo_label(X: np.ndarray, est: RidgeEstimate, nu: float, *, seed) -> Label
         raise ValidationError("nu must be nonnegative")
     y = X @ est.theta_hat
     if nu > 0:
-        y = y + nu * as_generator(seed).standard_normal(X.shape[0])
+        y = y + nu * np.random.default_rng(seed).standard_normal(X.shape[0])
     return LabeledDataset(X=X, y=y)
 
 

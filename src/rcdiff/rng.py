@@ -1,7 +1,8 @@
 """Seeding conventions.
 
-Every stochastic entry point accepts a ``seed`` that is either an int, a
-``numpy.random.SeedSequence``, or an already-constructed ``Generator``.
+Stochastic entry points pass their ``seed``, an int or a ``SeedSequence``,
+to ``np.random.default_rng``, so most also take a ``Generator``;
+``sampler.run_backward`` does not, as it derives its chunk streams from it.
 Derived streams (pipeline stages, per-cell sampling) are spawned with
 ``derive``: the child entropy is ``[root, code0, code1, ...]``, so the stream
 for a given stage is a pure function of the root seed and the stage codes and
@@ -11,15 +12,6 @@ never depends on execution order.
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Return a ``Generator`` for ``seed`` (ints and SeedSequences are wrapped)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(int(seed))
 
 
 def derive(root: int, *codes: int) -> np.random.SeedSequence:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ExtractionError, TrainingDivergedError, ValidationError
 from .oracle import GaussianDesignOracle, DiffusionSchedule, alpha_of, analytic_score, h_of
-from .rng import as_generator, derive
+from .rng import derive
 from .world import LabeledDataset
 
 SPD_FLOOR = 1e-6
@@ -112,7 +112,7 @@ class CoveringScore(_EncoderDecoderScore):
         if params is not None:
             self.params = {k: np.array(v, dtype=float) for k, v in params.items()}
         else:
-            rng = as_generator(seed)
+            rng = np.random.default_rng(seed)
             self.params = {
                 "V": rng.standard_normal((D, d)) / np.sqrt(D),
                 "beta_tilde": np.zeros(d),
@@ -226,7 +226,7 @@ class MlpScore(_EncoderDecoderScore):
         if params is not None:
             self.params = {k: np.array(v, dtype=float) for k, v in params.items()}
             return
-        rng = as_generator(seed)
+        rng = np.random.default_rng(seed)
         dims = [d + 4, *self.hidden, d]
         self.params = {"V": rng.standard_normal((D, d)) / np.sqrt(D)}
         for i, (fin, fout) in enumerate(zip(dims[:-1], dims[1:]), start=1):
@@ -330,7 +330,7 @@ def denoising_loss_and_grad(model, X, y, schedule: DiffusionSchedule, *, seed):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValidationError("batch must be nonempty")
-    t, eps = _time_and_noise(as_generator(seed), schedule, X.shape)
+    t, eps = _time_and_noise(np.random.default_rng(seed), schedule, X.shape)
     y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (X.shape[0],))
     return model.loss_and_grad(X, y, t, eps)
 
@@ -338,7 +338,7 @@ def denoising_loss_and_grad(model, X, y, schedule: DiffusionSchedule, *, seed):
 def _monte_carlo(per_row, oracle: GaussianDesignOracle, n_mc: int,
                  schedule: DiffusionSchedule, seed):
     """``(mean, stderr)`` of ``per_row(X, y, t, eps)`` over the design of ``oracle``."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(oracle.world.Sigma)
     z = rng.standard_normal((n_mc, oracle.world.d)) @ L.T
     y = z @ oracle.beta_hat + oracle.nu * rng.standard_normal(n_mc)
@@ -430,8 +430,8 @@ def train(model, curated: LabeledDataset, config: TrainConfig,
     if X_train.shape[0] == 0:
         X_train, y_train = curated.X, curated.y
 
-    rng = as_generator(derive(config.seed, SEED_TRAIN_STEPS))
-    val_rng = as_generator(derive(config.seed, SEED_TRAIN_VAL))
+    rng = np.random.default_rng(derive(config.seed, SEED_TRAIN_STEPS))
+    val_rng = np.random.default_rng(derive(config.seed, SEED_TRAIN_VAL))
     t_val, eps_val = _time_and_noise(val_rng, schedule, X_val.shape)
 
     opt = Adam(model.params, config.learning_rate)

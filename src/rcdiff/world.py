@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .rng import as_generator
 
 ORTHO_TOL = 1e-10
 
@@ -121,7 +120,7 @@ def sample_orthonormal(D: int, d: int, seed) -> np.ndarray:
     """
     if not 1 <= d <= D:
         raise DimensionError(f"need 1 <= d <= D, got D={D}, d={d}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     G = rng.standard_normal((D, d))
     Q, R = np.linalg.qr(G)
     return Q * np.sign(np.diag(R))
@@ -147,7 +146,7 @@ def make_world(
     ``sigma`` defaults to the identity latent covariance; any SPD matrix
     with eigenvalues in (0, 1] is accepted.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     A = sample_orthonormal(D, d, rng)
     beta = sample_unit_sphere(d, rng)
     if sigma is None:
@@ -198,7 +197,7 @@ def generate_datasets(
         raise ValidationError("n1 and n2 must be at least 1")
     if not 0 <= noise_sigma < 1:
         raise ValidationError("noise_sigma must lie in [0, 1)")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(world.Sigma)
     z1 = rng.standard_normal((n1, world.d)) @ L.T
     z2 = rng.standard_normal((n2, world.d)) @ L.T

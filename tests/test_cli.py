@@ -43,6 +43,9 @@ class TestPipelineCommand:
         assert manifest["complete"] is True
         assert (out / "metrics.csv").exists()
         assert io.verify_manifest(out) == []
+        assert set(manifest["timings_s"]) == {
+            "seed0.world", "seed0.data", "seed0.ridge", "seed0.pseudo", "seed0.train",
+            "seed0.sample", "seed0.metrics.a0", "seed0.metrics.a2"}
 
         # Second run is a no-op on an up-to-date manifest.
         before = (out / "metrics.csv").stat().st_mtime_ns
@@ -143,6 +146,32 @@ class TestPipelineCommand:
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is False
 
+    @pytest.mark.parametrize("raw", ["[]", '{"training": []}'])
+    def test_manifest_of_the_wrong_shape_is_recomputed(self, smoke_cfg, raw):
+        cfg, out = smoke_cfg
+        out.mkdir()
+        (out / "manifest.json").write_text(raw)
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert io.read_json(out / "manifest.json")["complete"] is True
+
+    def test_every_stage_runs_through_its_module_global(self, smoke_cfg, monkeypatch):
+        # The benchmark's span tracing patches these names on ``pipeline``;
+        # a stage called some other way would drop out of its per-layer figures.
+        from rcdiff import pipeline
+
+        calls = {}
+        for name in ("make_world", "generate_datasets", "fit_ridge", "pseudo_label",
+                     "train", "run_backward", "build_metrics_report"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        cfg, _ = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert calls == {"make_world": 1, "generate_datasets": 1, "fit_ridge": 1,
+                         "pseudo_label": 1, "train": 1, "run_backward": 1,
+                         "build_metrics_report": 2}
+
     def test_env_var_out_root(self, smoke_cfg, tmp_path, monkeypatch):
         cfg, _ = smoke_cfg
         monkeypatch.setenv("RCDIFF_OUT", str(tmp_path / "rooted"))
@@ -174,7 +203,8 @@ class TestFiguresCommand:
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         manifest = out / "manifest.json"
         whole = manifest.read_bytes()
-        for raw in (whole[:-3], b"\xff" + whole):  # truncated; not UTF-8
+        # Truncated; not UTF-8; JSON that is not a run's manifest.
+        for raw in (whole[:-3], b"\xff" + whole, b"[]", b"{}"):
             manifest.write_bytes(raw)
             assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
             assert "manifest.json" in capsys.readouterr().err
@@ -322,5 +352,23 @@ class TestModelReuse:
         assert _pipeline(cfg) == EXIT_OK
         log = capsys.readouterr().out
         assert "seed 0: reusing" in log and "seed 1: trained" in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
+
+    def test_failed_run_keeps_the_records_of_seeds_it_never_reached(self, trained, capsys):
+        cfg, out = trained
+        cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1"))
+        assert _pipeline(cfg) == EXIT_OK
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
+        squatter = out / "seed_0" / "world.rctb"
+        squatter.unlink()
+        squatter.mkdir()
+        assert _pipeline(cfg) == EXIT_COMPUTE
+        squatter.rmdir()
+        capsys.readouterr()
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: reusing" in log and "seed 1: reusing" in log
+        assert "trained" not in log
         assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
         _assert_same_run(out, out.parent / "fresh")
