@@ -94,7 +94,7 @@ def _emit_histograms(run_dir, out, rows, log) -> None:
     for a in a_values:
         tag = io.a_tag(a)
         rewards[a] = np.concatenate([
-            true_reward(world, io.load_samples(run_dir / f"seed_{seed}" / f"samples_a{tag}").X)
+            true_reward(world, io.read_matrix(run_dir / f"seed_{seed}" / f"samples_a{tag}.bin"))
             for seed, world in worlds.items()])
     lo = min(float(v.min()) for v in rewards.values())
     hi = max(float(v.max()) for v in rewards.values())

@@ -2,7 +2,7 @@
 
 Two little-endian binary containers cover all numeric artifacts:
 
-* matrix file (datasets, sample batches) — header ``b"RCDS"``, u32 version,
+* matrix file (sample batches) — header ``b"RCDS"``, u32 version,
   u64 row count, u64 column count, then row-major float64 data;
 * tensor-block file (models, ridge estimates) — header ``b"RCTB"``, u32
   version, u64 metadata length + UTF-8 JSON, u32 block count, then per
@@ -142,8 +142,8 @@ def read_blocks(path) -> tuple[dict, dict]:
 
 @contextmanager
 def _fields_of(path):
-    """Report a metadata key, block or sidecar field that the file at ``path``
-    lacks as a ``ValidationError`` naming the file and the key."""
+    """Report a metadata key or block that the file at ``path`` lacks as a
+    ``ValidationError`` naming the file and the key."""
     try:
         yield
     except KeyError as exc:
@@ -210,39 +210,15 @@ def a_tag(a: float) -> str:
     return f"{a + 0.0:g}".replace("-", "m").replace(".", "p")
 
 
-def save_samples(path_prefix, batch) -> tuple[str, str]:
-    """Write a sample batch as matrix file plus JSON sidecar; returns paths."""
+def save_samples(path_prefix, batch) -> str:
+    """Write a sample batch's points as ``<path_prefix>.bin``; returns the path.
+
+    The batch's other fields are in the cell's ``metrics_a<tag>.json``
+    (``a``, ``n``, ``seed``, ``score_id``) and the run's config (schedule).
+    """
     bin_path = str(path_prefix) + ".bin"
-    json_path = str(path_prefix) + ".json"
     write_matrix(bin_path, batch.X)
-    write_json(
-        json_path,
-        {
-            "a": batch.a,
-            "n": batch.n,
-            "schedule": batch.schedule.to_dict(),
-            "score_id": batch.score_id,
-            "seed": batch.seed,
-        },
-    )
-    return bin_path, json_path
-
-
-def load_samples(path_prefix):
-    from .oracle import DiffusionSchedule
-    from .sampler import SampleBatch
-
-    X = read_matrix(str(path_prefix) + ".bin")
-    json_path = str(path_prefix) + ".json"
-    side = read_json(json_path)
-    with _fields_of(json_path):
-        return SampleBatch(
-            X=X,
-            a=float(side["a"]),
-            schedule=DiffusionSchedule.from_dict(side["schedule"]),
-            score_id=str(side["score_id"]),
-            seed=side["seed"],
-        )
+    return bin_path
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class DiffusionSchedule:
     def to_dict(self) -> dict:
         return {"terminal_time": self.terminal_time, "t0": self.t0, "eta": self.eta}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiffusionSchedule":
-        return cls(float(d["terminal_time"]), float(d["t0"]), float(d["eta"]))
-
 
 @dataclass(frozen=True)
 class GaussianDesignOracle:

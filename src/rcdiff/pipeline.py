@@ -20,15 +20,17 @@ Artifacts under the output directory::
                                  training records (loss traces, model key)
     metrics.csv                  one row per cell: its record through ``CSV_COLUMNS``
     seed_<s>/world.rctb          ground truth tensors
-    seed_<s>/unlabeled.bin       unlabeled features (matrix container)
-    seed_<s>/labeled.bin         labeled features (matrix container)
-    seed_<s>/labeled_y.bin       their labels, one column
-    seed_<s>/labeled.csv         features and labels together, as text
+    seed_<s>/labeled.csv         labeled features and labels, as text
     seed_<s>/ridge.rctb          reward estimate
-    seed_<s>/pseudo_labels.bin   curated labels for the unlabeled features
     seed_<s>/score_model.rctb    fitted score model (none under ``score.variant = oracle``)
-    seed_<s>/samples_a<a>.bin/.json   generated batch per target value
+    seed_<s>/samples_a<a>.bin    generated batch per target value (matrix container)
     seed_<s>/metrics_a<a>.json   per-cell record (``metrics.build_metrics_report``)
+
+The unlabeled pool and the pseudo-labels are not stored.  Like the world
+and the labeled set, they are pure functions of the config and the seed:
+``make_world`` under ``derive(seed, SEED_WORLD)`` and ``generate_datasets``
+under ``derive(seed, SEED_DATA)`` regenerate the world and both datasets,
+and ``pseudo_label`` under ``derive(seed, SEED_PSEUDO)`` the labels.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
+        and isinstance(manifest.get("files"), dict)
         and not io.verify_manifest(out_dir)
     )
 
@@ -173,17 +176,10 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
         seed=derive(seed, SEED_DATA),
     ))
-    write(io.write_matrix, "unlabeled.bin", unlabeled)
-    write(io.write_matrix, "labeled.bin", labeled.X)
-    write(io.write_matrix, "labeled_y.bin", labeled.y.reshape(-1, 1))
     write(io.export_csv, "labeled.csv", labeled.X, labeled.y)
 
     est = timed("ridge", lambda: fit_ridge(labeled, cfg["reward.lambda"]))
     write(io.save_ridge, "ridge.rctb", est)
-    curated = timed("pseudo", lambda: pseudo_label(
-        unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
-    ))
-    write(io.write_matrix, "pseudo_labels.bin", curated.y.reshape(-1, 1))
 
     # The closed-form reference for the fitted reward, recorded in the manifest.
     oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=cfg.nu)
@@ -204,6 +200,9 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             score, record = io.load_model(path), dict(previous)
             log(f"seed {seed}: reusing score_model.rctb")
         else:
+            curated = timed("pseudo", lambda: pseudo_label(
+                unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
+            ))
             D, d, init = cfg["world.D"], cfg["world.d"], derive(seed, SEED_MODEL)
             if cfg["score.variant"] == "covering":
                 score = CoveringScore(D, d, cfg.nu, seed=init)
@@ -212,6 +211,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             result = timed("train", lambda: train(
                 score, curated, cfg.train_config(seed), schedule,
             ))
+            del curated
             io.save_model(path, score, schedule)
             record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
                       "key": key}
@@ -221,7 +221,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         manifest.data.setdefault("training", {})[str(seed)] = record
 
     # Released before sampling, which holds every target's state at once.
-    del unlabeled, labeled, curated
+    del unlabeled, labeled
     V = world.A if cfg["score.variant"] == "oracle" else extract_subspace(score)
 
     # Every target of ``sweep.a`` in one timed stage; the i-th target draws
@@ -234,8 +234,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     rows = []
     for i, batch in enumerate(batches):
         tag = io.a_tag(batch.a)
-        for path in io.save_samples(sdir / f"samples_a{tag}", batch):
-            manifest.add_file(out, path)
+        manifest.add_file(out, io.save_samples(sdir / f"samples_a{tag}", batch))
         record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
             batch, world, est, oracle, V,
             n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
@@ -262,7 +261,12 @@ def read_metrics_csv(path) -> list:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_COLUMNS):
             raise RcdiffError(f"unexpected metrics.csv schema: {reader.fieldnames}")
-        return [
-            {k: (int(v) if k == "seed" else float(v)) for k, v in row.items()}
-            for row in reader
-        ]
+        rows = []
+        for row in reader:
+            # A short row holds None values, a long one a None key: TypeError.
+            try:
+                rows.append({k: (int(v) if k == "seed" else float(v)) for k, v in row.items()})
+            except (TypeError, ValueError):
+                raise ValidationError(f"{path}: line {reader.line_num} is not a row of "
+                                      f"{len(CSV_COLUMNS)} numbers") from None
+        return rows

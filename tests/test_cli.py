@@ -125,13 +125,13 @@ class TestPipelineCommand:
         oracle_cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
         assert main(["pipeline", "--config", str(oracle_cfg)]) == EXIT_OK
         assert not (out / "seed_0" / "score_model.rctb").exists()
-        side = json.loads((out / "seed_0" / "samples_a2.json").read_text())
-        assert side["score_id"].startswith("oracle:")
+        record = json.loads((out / "seed_0" / "metrics_a2.json").read_text())
+        assert record["score_id"].startswith("oracle:")
         assert main(["figures", "--config", str(oracle_cfg)]) == EXIT_OK
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" not in capsys.readouterr().out
-        side = json.loads((out / "seed_0" / "samples_a2.json").read_text())
-        assert side["score_id"].startswith("model:")
+        record = json.loads((out / "seed_0" / "metrics_a2.json").read_text())
+        assert record["score_id"].startswith("model:")
         # The config digest keys the score source: each run is up to date
         # with respect to its own config only.
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
@@ -153,6 +153,21 @@ class TestPipelineCommand:
         (out / "manifest.json").write_text(raw)
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert io.read_json(out / "manifest.json")["complete"] is True
+
+    @pytest.mark.parametrize("files", [None, []], ids=["missing", "list"])
+    def test_manifest_without_a_file_table_is_recomputed(self, smoke_cfg, files, capsys):
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        manifest = io.read_json(out / "manifest.json")
+        if files is None:
+            del manifest["files"]
+        else:
+            manifest["files"] = files
+        io.write_json(out / "manifest.json", manifest)
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert "up to date" not in capsys.readouterr().out
+        assert io.verify_manifest(out) == []
 
     def test_every_stage_runs_through_its_module_global(self, smoke_cfg, monkeypatch):
         # The benchmark's span tracing patches these names on ``pipeline``;
@@ -208,6 +223,20 @@ class TestFiguresCommand:
             manifest.write_bytes(raw)
             assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
             assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, bad", [
+        (lambda text: text[:text.rindex(",")], "line 3"),  # truncated last row
+        (lambda text: text.rstrip() + ",1\n", "line 3"),  # one field too many
+        (lambda text: text.replace("\n0.0,", "\nzero,", 1), "line 2"),
+    ], ids=["truncated", "long", "non-numeric"])
+    def test_corrupt_metrics_csv_is_compute_error(self, smoke_cfg, capsys, corrupt, bad):
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        csv_path = out / "metrics.csv"
+        csv_path.write_text(corrupt(csv_path.read_text()))
+        assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert "metrics.csv" in err and bad in err
 
     def test_single_seed_gives_zero_error_bars(self, smoke_cfg):
         import csv
@@ -291,6 +320,49 @@ def test_manifest_lists_no_stale_file(smoke_cfg):
     _assert_same_run(out, out.parent / "fresh")
 
 
+@pytest.mark.parametrize("variant, model", [("mlp", {"seed_0/score_model.rctb"}),
+                                            ("oracle", set())], ids=["mlp", "oracle"])
+def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text() + f"score.variant = {variant}\n")
+    assert _pipeline(cfg) == EXIT_OK
+    expected = {"metrics.csv", "seed_0/world.rctb", "seed_0/labeled.csv", "seed_0/ridge.rctb",
+                "seed_0/samples_a0.bin", "seed_0/samples_a2.bin",
+                "seed_0/metrics_a0.json", "seed_0/metrics_a2.json"} | model
+    manifest = io.read_json(out / "manifest.json")
+    assert set(manifest["files"]) == expected
+    # Pseudo-labels are computed only for a model that is trained.
+    assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert on_disk == expected | {"manifest.json"}
+
+
+def test_seed_inputs_regenerate_from_the_manifest(smoke_cfg, tmp_path):
+    import numpy as np
+
+    from rcdiff.config import RunConfig
+    from rcdiff.pipeline import SEED_DATA, SEED_WORLD
+    from rcdiff.rng import derive
+    from rcdiff.world import generate_datasets, make_world
+
+    cfg, out = smoke_cfg
+    assert _pipeline(cfg) == EXIT_OK
+    c = RunConfig(values=io.read_json(out / "manifest.json")["config"])
+    world = make_world(c["world.D"], c["world.d"], c.sigma, c["world.offsupport_coeff"],
+                       c["world.offsupport_sign"], seed=derive(0, SEED_WORLD))
+    _, labeled = generate_datasets(world, c["data.n1"], c["data.n2"], c["data.noise_sigma"],
+                                   seed=derive(0, SEED_DATA))
+    regen = tmp_path / "regen"
+    regen.mkdir()
+    io.save_world(regen / "world.rctb", world)
+    io.export_csv(regen / "labeled.csv", labeled.X, labeled.y)
+    for name in ("world.rctb", "labeled.csv"):
+        assert (regen / name).read_bytes() == (out / "seed_0" / name).read_bytes()
+    # The text export holds the labeled set exactly: repr floats round-trip.
+    table = np.loadtxt(out / "seed_0" / "labeled.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table, np.column_stack([labeled.X, labeled.y]))
+
+
 @pytest.mark.parametrize("variant", ["mlp", "covering"])
 class TestModelReuse:
     @pytest.fixture()
@@ -308,6 +380,7 @@ class TestModelReuse:
         cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
         assert _pipeline(cfg) == EXIT_OK
         assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
+        assert "seed0.pseudo" not in io.read_json(out / "manifest.json")["timings_s"]
         after = model.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK

@@ -9,7 +9,6 @@ from rcdiff import io
 from rcdiff.config import RunConfig, SCHEMA, load_config, parse_config_text
 from rcdiff.errors import ConfigError, ValidationError
 from rcdiff.oracle import DiffusionSchedule
-from rcdiff.sampler import SampleBatch
 from rcdiff.score_model import CoveringScore, MlpScore
 from rcdiff.world import make_world
 
@@ -132,18 +131,6 @@ class TestTensorBlocks:
         load = io.load_model if kind == "model" else io.load_world
         with pytest.raises(ValidationError, match=f"f.rctb: missing key '{key}'"):
             load(tmp_path / "f.rctb")
-
-    def test_samples_roundtrip(self, tmp_path):
-        sched = DiffusionSchedule(5.0, 0.05, 0.05)
-        batch = SampleBatch(
-            X=np.random.default_rng(0).standard_normal((8, 3)),
-            a=2.0, schedule=sched, score_id="zero", seed=7,
-        )
-        io.save_samples(tmp_path / "s", batch)
-        loaded = io.load_samples(tmp_path / "s")
-        np.testing.assert_array_equal(loaded.X, batch.X)
-        assert loaded.schedule == sched
-        assert loaded.a == 2.0
 
 
 class TestManifest:

@@ -41,10 +41,6 @@ class TestSchedule:
         # Degenerate t0 == T is allowed: zero-length generation window.
         DiffusionSchedule(terminal_time=1.0, t0=1.0, eta=0.5)
 
-    def test_roundtrip(self):
-        s = DiffusionSchedule(10.0, 0.01, 0.005)
-        assert DiffusionSchedule.from_dict(s.to_dict()) == s
-
 
 class TestBMatrix:
     def test_identity_when_no_conditioning(self):
