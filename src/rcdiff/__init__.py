@@ -44,7 +44,6 @@ from .score_model import (
     TrainConfig,
     TrainResult,
     ZeroScore,
-    denoising_loss_and_grad,
     denoising_objective,
     exact_objective,
     extract_subspace,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io
 from .errors import RcdiffError, ValidationError
-from .pipeline import read_metrics_csv
+from .pipeline import _part, _read_manifest, read_metrics_csv
 from .svgplot import Series, render_line_plot
 from .world import true_reward
 
@@ -54,10 +54,14 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
         raise RcdiffError(
             f"{csv_path} not found: run the 'pipeline' command for this config first"
         )
+    # Both inputs are checked before anything is written.
+    rows = read_metrics_csv(csv_path)
+    bins = _part(_read_manifest(run_dir), "config").get("metrics.histogram_bins")
+    if bins is None:
+        raise ValidationError(f"{run_dir / 'manifest.json'}: no config with "
+                              "metrics.histogram_bins")
     out = run_dir / "figures"
     out.mkdir(parents=True, exist_ok=True)
-
-    rows = read_metrics_csv(csv_path)
     curves = aggregate_curves(rows)
     for column, label in CURVES:
         table = curves[column]
@@ -77,16 +81,11 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
         )
         log(f"wrote curve_{column}.csv/.svg")
 
-    _emit_histograms(run_dir, out, rows, log)
+    _emit_histograms(run_dir, out, rows, bins, log)
     return out
 
 
-def _emit_histograms(run_dir, out, rows, log) -> None:
-    manifest_path = run_dir / "manifest.json"
-    try:
-        bins = io.read_json(manifest_path)["config"]["metrics.histogram_bins"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{manifest_path}: no config with metrics.histogram_bins") from exc
+def _emit_histograms(run_dir, out, rows, bins, log) -> None:
     a_values = sorted({row["a"] for row in rows})
     worlds = {seed: io.load_world(run_dir / f"seed_{seed}" / "world.rctb")
               for seed in sorted({row["seed"] for row in rows})}

@@ -158,9 +158,9 @@ def save_ridge(path, est) -> None:
     )
 
 
-def save_model(path, model, schedule) -> None:
+def save_model(path, model) -> None:
     meta, blocks = model.to_blocks()
-    write_blocks(path, {"kind": "score_model", **meta, "schedule": schedule.to_dict()}, blocks)
+    write_blocks(path, {"kind": "score_model", **meta}, blocks)
 
 
 def load_model(path):
@@ -276,12 +276,12 @@ class ManifestBuilder:
         write_json(path, self.data)
 
 
-def verify_manifest(root) -> list:
-    """Return mismatched or missing files recorded in a run manifest."""
+def verify_manifest(root, files: dict) -> list:
+    """Return the entries of a manifest's ``files`` table (path relative to
+    ``root`` -> sha256) that are missing or whose bytes differ."""
     root = Path(root)
-    manifest = read_json(root / "manifest.json")
     bad = []
-    for rel, digest in manifest["files"].items():
+    for rel, digest in files.items():
         p = root / rel
         if not p.exists():
             bad.append(f"missing: {rel}")

@@ -182,7 +182,7 @@ def build_metrics_report(
         "e1": dec.e1,
         "e2": dec.e2,
         "e3": dec.e3,
-        "distro_shift": distro_shift_surrogate(oracle, a)[1],
+        "distro_shift": distro_shift_surrogate(oracle, a),
         "distro_shift_kind": "known-sigma-surrogate",
         "moment_discrepancy": {"mean_gap": mean_gap, "cov_gap": cov_gap},
         "histogram": {

@@ -64,9 +64,6 @@ class DiffusionSchedule:
         if not 0 < self.eta <= self.t0:
             raise ValidationError("need 0 < eta <= t0")
 
-    def to_dict(self) -> dict:
-        return {"terminal_time": self.terminal_time, "t0": self.t0, "eta": self.eta}
-
 
 @dataclass(frozen=True)
 class GaussianDesignOracle:
@@ -180,25 +177,21 @@ def noised_conditional_law(
 
 
 def latent_second_moment(oracle: GaussianDesignOracle, a: float) -> float:
-    """E ||z||^2 under the conditional latent law; quadratic in ``a``."""
-    mean, cov = conditional_latent_law(oracle, a)
-    return float(mean @ mean + np.trace(cov))
-
-
-def distro_shift_surrogate(oracle: GaussianDesignOracle, a: float) -> tuple[float, float]:
-    """Known-covariance distribution-shift proxy.
-
-    Returns the conditional second moment (in the form that makes the
-    ``a^2`` sensitivity explicit) and the dimensionless surrogate
-    ``sqrt(second_moment / tr(Sigma))``, nondecreasing in ``|a|``.
-    """
+    """E ||z||^2 under the conditional latent law, ``||mu(a)||^2 + tr(Gamma)``,
+    in the form that makes the ``a^2`` sensitivity explicit."""
     S = oracle.world.Sigma
     b = oracle.beta_hat
     Sb = S @ b
     s = float(b @ Sb)
     denom = s + oracle.nu**2
-    second = (a**2 - denom) * float(Sb @ Sb) / denom**2 + float(np.trace(S))
-    return second, math.sqrt(second / float(np.trace(S)))
+    return (a**2 - denom) * float(Sb @ Sb) / denom**2 + float(np.trace(S))
+
+
+def distro_shift_surrogate(oracle: GaussianDesignOracle, a: float) -> float:
+    """Known-covariance distribution-shift proxy ``sqrt(M(a) / tr(Sigma))``
+    with ``M`` the latent second moment; dimensionless and nondecreasing
+    in ``|a|``."""
+    return math.sqrt(latent_second_moment(oracle, a) / float(np.trace(oracle.world.Sigma)))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,16 @@ a pure function of the resolved configuration.
 
 Training is the one stage kept between runs: a rerun, after a failed run
 or a change to keys outside ``MODEL_KEYS`` (``sweep.a``, ``sample.*``,
-``metrics.*``), loads each seed's ``score_model.rctb`` instead of training
-again when the last run's training record of that seed still matches it
-(see ``_run_seed``), and writes the bytes a ``force`` run writes.
+``metrics.*``, ``schedule.eta``), loads each seed's ``score_model.rctb``
+instead of training again when the last run's training record of that
+seed still matches it (see ``_run_seed``), and writes the bytes a
+``force`` run writes.
+
+Each start reads ``manifest.json`` once (``_read_manifest``), or not at
+all under ``force``; that one dict answers whether the run is up to date
+and holds the training records.  The manifest keeps no copy of a fact the
+run holds elsewhere: the oracle of a seed is ``cfg.nu`` of its config and
+``A^T theta_hat`` from ``world.rctb`` and ``ridge.rctb``.
 
 Artifacts under the output directory::
 
@@ -70,8 +77,9 @@ SEED_METRICS = 21
 
 # Prefixes of the config keys that a trained score model depends on.  With
 # the seed they make up its reuse key; every other key only changes how the
-# model is used.
-MODEL_KEYS = ("world.", "data.", "reward.", "score.", "schedule.")
+# model is used.  Training draws t on [t0, T] only, so ``schedule.eta``, the
+# sampler's step, is one of those.
+MODEL_KEYS = ("world.", "data.", "reward.", "score.", "schedule.T", "schedule.t0")
 
 
 class PipelineStageError(RcdiffError, RuntimeError):
@@ -83,7 +91,8 @@ class PipelineStageError(RcdiffError, RuntimeError):
 
 def _read_manifest(out_dir) -> dict:
     """The manifest an earlier run left in ``out_dir``, finished or not;
-    empty when there is none or it cannot be read as an object."""
+    empty when there is none or it cannot be read as an object.  The one
+    reader of ``manifest.json``: a start reads it once and passes it on."""
     try:
         manifest = io.read_json(Path(out_dir) / "manifest.json")
     except (OSError, ValidationError):
@@ -91,14 +100,21 @@ def _read_manifest(out_dir) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
-def is_up_to_date(cfg: RunConfig, out_dir) -> bool:
-    """True when a complete, hash-clean run of this config exists."""
-    manifest = _read_manifest(out_dir)
+def _part(record: dict, key: str) -> dict:
+    """``record[key]`` when it is an object; a part of another shape counts as absent."""
+    part = record.get(key)
+    return part if isinstance(part, dict) else {}
+
+
+def is_up_to_date(cfg: RunConfig, out_dir, manifest: dict) -> bool:
+    """True when ``manifest``, read from ``out_dir``, records a complete
+    run of this config and every file it lists is hash-clean."""
+    files = manifest.get("files")
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
-        and isinstance(manifest.get("files"), dict)
-        and not io.verify_manifest(out_dir)
+        and isinstance(files, dict)
+        and not io.verify_manifest(out_dir, files)
     )
 
 
@@ -107,17 +123,17 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
     """Execute the full sweep, reusing what the last run left unless
     ``force`` is set; returns the output directory."""
     out = Path(out_dir)
-    if not force and is_up_to_date(cfg, out):
+    last = {} if force else _read_manifest(out)
+    if not force and is_up_to_date(cfg, out, last):
         log(f"up to date: {out}")
         return out
-    trained = None if force else _read_manifest(out).get("training")
-    trained = trained if isinstance(trained, dict) else {}
+    trained = _part(last, "training")
     out.mkdir(parents=True, exist_ok=True)
     manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
     rows = []
     try:
         for seed in cfg["sweep.seeds"]:
-            rows.extend(_run_seed(cfg, seed, out, manifest, trained.get(str(seed), {}), log))
+            rows.extend(_run_seed(cfg, seed, out, manifest, _part(trained, str(seed)), log))
         csv_path = out / "metrics.csv"
         _write_csv(csv_path, rows)
         manifest.add_file(out, csv_path)
@@ -140,9 +156,9 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     """Run the stages of one seed in order, writing their artifacts under
     ``out/seed_<seed>``; returns the seed's ``metrics.csv`` rows.
 
-    ``manifest`` gets the stage timings, the training and oracle records
-    and the sha256 of each file a stage writes or reuses, so it lists no
-    stale file of an earlier run.  Under ``score.variant = oracle`` the
+    ``manifest`` gets the stage timings, the training record and the
+    sha256 of each file a stage writes or reuses, so it lists no stale
+    file of an earlier run.  Under ``score.variant = oracle`` the
     sampler follows the oracle's closed-form score.  Otherwise the seed's
     ``score_model.rctb`` is loaded when ``previous``, the last run's training
     record of this seed, holds this model's key (the seed and every config
@@ -181,18 +197,13 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     est = timed("ridge", lambda: fit_ridge(labeled, cfg["reward.lambda"]))
     write(io.save_ridge, "ridge.rctb", est)
 
-    # The closed-form reference for the fitted reward, recorded in the manifest.
+    # The closed-form reference for the fitted reward.
     oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=cfg.nu)
-    manifest.data.setdefault("oracle", {})[str(seed)] = {
-        "nu": cfg.nu,
-        "beta_hat": [float(v) for v in oracle.beta_hat],
-        "params_digest": oracle.params_digest(),
-    }
 
     if cfg["score.variant"] == "oracle":
         score = AnalyticScore(oracle)
     else:
-        path, schedule = sdir / "score_model.rctb", cfg.schedule()
+        path = sdir / "score_model.rctb"
         key = io.sha256_text(json.dumps([seed, {
             k: v for k, v in cfg.values.items() if k.startswith(MODEL_KEYS)}], sort_keys=True))
         if (previous.get("key") == key and path.is_file()
@@ -209,10 +220,10 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             else:
                 score = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
             result = timed("train", lambda: train(
-                score, curated, cfg.train_config(seed), schedule,
+                score, curated, cfg.train_config(seed), cfg.schedule(),
             ))
             del curated
-            io.save_model(path, score, schedule)
+            io.save_model(path, score)
             record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
                       "key": key}
             log(f"seed {seed}: trained "
@@ -269,4 +280,6 @@ def read_metrics_csv(path) -> list:
             except (TypeError, ValueError):
                 raise ValidationError(f"{path}: line {reader.line_num} is not a row of "
                                       f"{len(CSV_COLUMNS)} numbers") from None
+        if not rows:
+            raise ValidationError(f"{path}: no rows below the header")
         return rows

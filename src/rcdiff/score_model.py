@@ -320,21 +320,6 @@ def pathwise_denoising_loss(score_fn, X, y, t, eps) -> float:
     return float(np.mean(_denoising_errors(score_fn, X, y, t, eps)))
 
 
-def denoising_loss_and_grad(model, X, y, schedule: DiffusionSchedule, *, seed):
-    """One stochastic evaluation of the training objective with exact grads.
-
-    Times are uniform on ``[t0, T]`` and the noising draw is fresh per row;
-    both depend only on ``seed`` and the batch shape, so repeated calls with
-    the same seed are a fixed differentiable function of the parameters.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValidationError("batch must be nonempty")
-    t, eps = _time_and_noise(np.random.default_rng(seed), schedule, X.shape)
-    y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (X.shape[0],))
-    return model.loss_and_grad(X, y, t, eps)
-
-
 def _monte_carlo(per_row, oracle: GaussianDesignOracle, n_mc: int,
                  schedule: DiffusionSchedule, seed):
     """``(mean, stderr)`` of ``per_row(X, y, t, eps)`` over the design of ``oracle``."""
@@ -384,6 +369,8 @@ class TrainConfig:
             raise ValidationError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
+        if not self.learning_rate > 0:
+            raise ValidationError("learning_rate must be positive")
         if not 0 < self.lr_decay <= 1.0:
             raise ValidationError("lr_decay must lie in (0, 1]")
 

@@ -34,7 +34,7 @@ from .score_model import (
     CoveringScore,
     MlpScore,
     ZeroScore,
-    denoising_loss_and_grad,
+    _time_and_noise,
     denoising_objective,
     exact_objective,
 )
@@ -126,7 +126,8 @@ def check_score_gradients() -> dict:
     for model in (CoveringScore(D, d, nu=0.5, seed=4), MlpScore(D, d, hidden=(32, 32), seed=5)):
         for k in model.params:
             model.params[k] = model.params[k] + 0.05 * rng.standard_normal(model.params[k].shape)
-        _, grads = denoising_loss_and_grad(model, X, y, schedule, seed=42)
+        t, eps = _time_and_noise(np.random.default_rng(42), schedule, X.shape)
+        _, grads = model.loss_and_grad(X, y, t, eps)
         worst = 0.0
         base = {k: v.copy() for k, v in model.params.items()}
         for _ in range(20):
@@ -136,10 +137,10 @@ def check_score_gradients() -> dict:
             h = 1e-5
             for k in model.params:
                 model.params[k] = base[k] + h * dirs[k] / norm
-            lp, _ = denoising_loss_and_grad(model, X, y, schedule, seed=42)
+            lp, _ = model.loss_and_grad(X, y, t, eps)
             for k in model.params:
                 model.params[k] = base[k] - h * dirs[k] / norm
-            lm, _ = denoising_loss_and_grad(model, X, y, schedule, seed=42)
+            lm, _ = model.loss_and_grad(X, y, t, eps)
             for k in model.params:
                 model.params[k] = base[k]
             fd = (lp - lm) / (2 * h)

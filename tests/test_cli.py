@@ -24,6 +24,11 @@ metrics.n_ref = 2000
 """
 
 
+def _hash_clean(out) -> bool:
+    """Every file that ``out``'s manifest lists is there with its sha256."""
+    return io.verify_manifest(out, io.read_json(out / "manifest.json")["files"]) == []
+
+
 @pytest.fixture()
 def smoke_cfg(tmp_path):
     cfg = tmp_path / "smoke.cfg"
@@ -42,7 +47,7 @@ class TestPipelineCommand:
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is True
         assert (out / "metrics.csv").exists()
-        assert io.verify_manifest(out) == []
+        assert _hash_clean(out)
         assert set(manifest["timings_s"]) == {
             "seed0.world", "seed0.data", "seed0.ridge", "seed0.pseudo", "seed0.train",
             "seed0.sample", "seed0.metrics.a0", "seed0.metrics.a2"}
@@ -111,7 +116,7 @@ class TestPipelineCommand:
         "sweep.a = 0, 1, 1.0", "sweep.seeds = 2, 2", "sweep.a = 1, 1.0000001",
         "sweep.a = 0, -0", "reward.nu = 0", "world.offsupport_coeff = -1",
         "reward.lambda = -1", "reward.lambda = nan", "reward.lambda = 0",
-        "sweep.a = 0, inf",
+        "sweep.a = 0, inf", "score.learning_rate = 0", "score.learning_rate = -1",
     ])
     def test_dry_run_rejects_config_that_fails_later(self, smoke_cfg, line):
         cfg, out = smoke_cfg
@@ -146,13 +151,45 @@ class TestPipelineCommand:
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is False
 
-    @pytest.mark.parametrize("raw", ["[]", '{"training": []}'])
-    def test_manifest_of_the_wrong_shape_is_recomputed(self, smoke_cfg, raw):
+    @pytest.mark.parametrize("raw", ["[]", '{"training": []}', '{"training": {"0": []}}'])
+    def test_manifest_of_the_wrong_shape_is_recomputed(self, smoke_cfg, raw, capsys):
         cfg, out = smoke_cfg
         out.mkdir()
         (out / "manifest.json").write_text(raw)
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert "seed 0: trained" in capsys.readouterr().out
         assert io.read_json(out / "manifest.json")["complete"] is True
+
+    def test_each_start_reads_the_manifest_once(self, smoke_cfg, monkeypatch, capsys):
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        reads = []
+        read_json = io.read_json
+
+        def counted(path):
+            reads.append(path.name)
+            return read_json(path)
+        monkeypatch.setattr(io, "read_json", counted)
+
+        def start(*flags):
+            reads.clear()
+            capsys.readouterr()
+            assert main(["pipeline", "--config", str(cfg), *flags]) == EXIT_OK
+            return reads.count("manifest.json"), capsys.readouterr().out
+
+        count, log = start()
+        assert count == 1 and "up to date" in log
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
+        count, log = start()
+        assert count == 1 and "reusing" in log
+        sample = out / "seed_0" / "samples_a3.bin"
+        raw = bytearray(sample.read_bytes())
+        raw[-1] ^= 0x01
+        sample.write_bytes(bytes(raw))
+        count, log = start()
+        assert count == 1 and "reusing" in log
+        count, log = start("--force")
+        assert count == 0 and "trained" in log
 
     @pytest.mark.parametrize("files", [None, []], ids=["missing", "list"])
     def test_manifest_without_a_file_table_is_recomputed(self, smoke_cfg, files, capsys):
@@ -167,7 +204,7 @@ class TestPipelineCommand:
         capsys.readouterr()
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" not in capsys.readouterr().out
-        assert io.verify_manifest(out) == []
+        assert _hash_clean(out)
 
     def test_every_stage_runs_through_its_module_global(self, smoke_cfg, monkeypatch):
         # The benchmark's span tracing patches these names on ``pipeline``;
@@ -228,7 +265,8 @@ class TestFiguresCommand:
         (lambda text: text[:text.rindex(",")], "line 3"),  # truncated last row
         (lambda text: text.rstrip() + ",1\n", "line 3"),  # one field too many
         (lambda text: text.replace("\n0.0,", "\nzero,", 1), "line 2"),
-    ], ids=["truncated", "long", "non-numeric"])
+        (lambda text: text[:text.index("\n") + 1], "no rows"),
+    ], ids=["truncated", "long", "non-numeric", "header-only"])
     def test_corrupt_metrics_csv_is_compute_error(self, smoke_cfg, capsys, corrupt, bad):
         cfg, out = smoke_cfg
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
@@ -237,6 +275,7 @@ class TestFiguresCommand:
         assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
         err = capsys.readouterr().err
         assert "metrics.csv" in err and bad in err
+        assert not (out / "figures").exists()
 
     def test_single_seed_gives_zero_error_bars(self, smoke_cfg):
         import csv
@@ -293,7 +332,7 @@ def _assert_same_run(run, fresh):
     assert manifests[0] == manifests[1]
     written = {p.relative_to(fresh).as_posix() for p in fresh.rglob("*") if p.is_file()}
     assert set(manifests[1]["files"]) == written - {"manifest.json"}
-    assert io.verify_manifest(run) == []
+    assert _hash_clean(run)
 
 
 def test_every_config_key_is_a_model_key_or_only_changes_its_use():
@@ -301,7 +340,7 @@ def test_every_config_key_is_a_model_key_or_only_changes_its_use():
     from rcdiff.pipeline import MODEL_KEYS
 
     use_keys = {"sample.n", "sweep.a", "sweep.seeds", "metrics.n_ref",
-                "metrics.histogram_bins", "out.dir"}
+                "metrics.histogram_bins", "out.dir", "schedule.eta"}
     model_keys = {key for key in SCHEMA if key.startswith(MODEL_KEYS)}
     assert model_keys.isdisjoint(use_keys)
     assert set(SCHEMA) - model_keys == use_keys
@@ -331,6 +370,9 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
                 "seed_0/metrics_a0.json", "seed_0/metrics_a2.json"} | model
     manifest = io.read_json(out / "manifest.json")
     assert set(manifest["files"]) == expected
+    # The oracle's parameters are the config's nu and the stored world and ridge.
+    assert set(manifest) == {"config_digest", "config", "format_version", "files",
+                             "timings_s", "complete"} | ({"training"} if model else set())
     # Pseudo-labels are computed only for a model that is trained.
     assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
     on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
@@ -388,6 +430,15 @@ class TestModelReuse:
         # --force never reads the record: it retrains over a reusable model.
         assert _pipeline(cfg, "--force") == EXIT_OK
         assert "seed 0: trained" in capsys.readouterr().out
+
+    def test_eta_change_reuses_the_model(self, trained, capsys):
+        # Training draws t on [t0, T]; the sampler's step does not reach it.
+        cfg, out = trained
+        cfg.write_text(cfg.read_text().replace("schedule.eta = 0.05", "schedule.eta = 0.025"))
+        assert _pipeline(cfg) == EXIT_OK
+        assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
 
     @pytest.mark.parametrize("key, value", [("score.epochs", 2), ("reward.lambda", 0.5)])
     def test_training_input_change_retrains(self, trained, key, value, capsys):

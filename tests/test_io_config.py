@@ -8,7 +8,6 @@ import pytest
 from rcdiff import io
 from rcdiff.config import RunConfig, SCHEMA, load_config, parse_config_text
 from rcdiff.errors import ConfigError, ValidationError
-from rcdiff.oracle import DiffusionSchedule
 from rcdiff.score_model import CoveringScore, MlpScore
 from rcdiff.world import make_world
 
@@ -103,8 +102,10 @@ class TestTensorBlocks:
     def test_model_roundtrip(self, tmp_path, variant):
         model = (CoveringScore(6, 2, nu=0.5, seed=1) if variant == "covering"
                  else MlpScore(6, 2, hidden=(16, 16), seed=1))
-        io.save_model(tmp_path / "m.rctb", model,
-                      DiffusionSchedule(5.0, 0.05, 0.05))
+        io.save_model(tmp_path / "m.rctb", model)
+        # The file holds the model alone: the schedule is the run's config.
+        meta, _ = io.read_blocks(tmp_path / "m.rctb")
+        assert set(meta) == {"kind", *model.to_blocks()[0]}
         clone = io.load_model(tmp_path / "m.rctb")
         X = np.random.default_rng(2).standard_normal((4, 6))
         np.testing.assert_array_equal(model(X, 1.0, 0.7), clone(X, 1.0, 0.7))
@@ -120,8 +121,7 @@ class TestTensorBlocks:
     def test_missing_key_names_file_and_key(self, tmp_path, drop):
         kind, key = drop.split(":")
         if kind == "model":
-            io.save_model(tmp_path / "f.rctb", MlpScore(6, 2, hidden=(8, 8), seed=1),
-                          DiffusionSchedule(5.0, 0.05, 0.05))
+            io.save_model(tmp_path / "f.rctb", MlpScore(6, 2, hidden=(8, 8), seed=1))
         else:
             io.save_world(tmp_path / "f.rctb", make_world(D=6, d=2, seed=0))
         meta, blocks = io.read_blocks(tmp_path / "f.rctb")
@@ -139,11 +139,13 @@ class TestManifest:
         io.write_matrix(f, np.zeros((2, 2)))
         mb = io.ManifestBuilder("digest", {"k": 1})
         mb.add_file(tmp_path, f)
-        mb.write(tmp_path / "manifest.json", complete=True)
-        assert io.verify_manifest(tmp_path) == []
+        files = mb.data["files"]
+        assert io.verify_manifest(tmp_path, files) == []
         f.write_bytes(b"tampered-with-bytes-----")
-        issues = io.verify_manifest(tmp_path)
+        issues = io.verify_manifest(tmp_path, files)
         assert issues and "hash mismatch" in issues[0]
+        f.unlink()
+        assert io.verify_manifest(tmp_path, files) == ["missing: a.bin"]
 
     def test_json_write_is_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

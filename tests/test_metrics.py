@@ -260,7 +260,7 @@ class TestMetricsReport:
 
     def test_rejects_non_finite(self, monkeypatch):
         monkeypatch.setattr(metrics, "distro_shift_surrogate",
-                            lambda oracle, a: (float("nan"), float("nan")))
+                            lambda oracle, a: float("nan"))
         with pytest.raises(ValidationError, match="non-finite"):
             self._report()
 

@@ -234,20 +234,15 @@ class TestSecondMomentAndShift:
     def test_shift_closed_form_special_values(self):
         orc = _oracle(D=9, d=4, beta=np.array([1.0, 0, 0, 0]), nu=1.0)
         # First term vanishes when a^2 equals the label variance.
-        val, _ = distro_shift_surrogate(orc, np.sqrt(2.0))
-        assert abs(val - 4.0) < 1e-12
-        val4, _ = distro_shift_surrogate(orc, 4.0)
-        assert abs(val4 - (3.5 + 4)) < 1e-12
-
-    def test_shift_equals_second_moment(self):
-        # Two algebraic forms of the same quantity.
-        orc = _oracle(D=7, d=3, nu=0.45, seed=11)
-        for a in (-4.0, 0.0, 1.0, 6.0):
-            assert abs(distro_shift_surrogate(orc, a)[0] - latent_second_moment(orc, a)) < 1e-10
+        assert abs(latent_second_moment(orc, np.sqrt(2.0)) - 4.0) < 1e-12
+        assert abs(latent_second_moment(orc, 4.0) - (3.5 + 4)) < 1e-12
+        # The surrogate rescales the second moment by tr(Sigma).
+        trace = float(np.trace(orc.world.Sigma))
+        assert distro_shift_surrogate(orc, 4.0) == np.sqrt(latent_second_moment(orc, 4.0) / trace)
 
     def test_surrogate_monotone_in_magnitude(self):
         orc = _oracle(D=7, d=3, nu=0.45, seed=11)
-        assert distro_shift_surrogate(orc, 0.0)[1] <= distro_shift_surrogate(orc, 8.0)[1]
+        assert distro_shift_surrogate(orc, 0.0) <= distro_shift_surrogate(orc, 8.0)
 
     def test_rejects_nonpositive_nu(self):
         w = make_world(D=4, d=2, seed=0)

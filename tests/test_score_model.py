@@ -22,14 +22,14 @@ from rcdiff.score_model import (
     MlpScore,
     TrainConfig,
     ZeroScore,
-    denoising_loss_and_grad,
+    _time_and_noise,
     exact_objective,
     extract_subspace,
     model_from_blocks,
     pathwise_denoising_loss,
     train,
 )
-from rcdiff.world import generate_datasets, make_world
+from rcdiff.world import LabeledDataset, generate_datasets, make_world
 
 SCHED = DiffusionSchedule(terminal_time=5.0, t0=0.05, eta=0.05)
 
@@ -125,25 +125,28 @@ class TestGradients:
         _perturb(model, rng)
         X = rng.standard_normal((1, 4))
         y = rng.standard_normal(1)
-        _, grads = denoising_loss_and_grad(model, X, y, SCHED, seed=7)
+        t, eps = _time_and_noise(np.random.default_rng(7), SCHED, X.shape)
+        _, grads = model.loss_and_grad(X, y, t, eps)
         base = model.params["beta_tilde"].copy()
         h = 1e-6
         for i in range(2):
             model.params["beta_tilde"] = base.copy()
             model.params["beta_tilde"][i] += h
-            lp, _ = denoising_loss_and_grad(model, X, y, SCHED, seed=7)
+            lp, _ = model.loss_and_grad(X, y, t, eps)
             model.params["beta_tilde"] = base.copy()
             model.params["beta_tilde"][i] -= h
-            lm, _ = denoising_loss_and_grad(model, X, y, SCHED, seed=7)
+            lm, _ = model.loss_and_grad(X, y, t, eps)
             model.params["beta_tilde"] = base
             fd = (lp - lm) / (2 * h)
             an = grads["beta_tilde"][i]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-12) <= 1e-4
 
     def test_rejects_empty_batch(self):
+        # ``train`` checks the dataset itself; no batch of it is ever empty.
         model = CoveringScore(4, 2, nu=0.5, seed=0)
-        with pytest.raises(ValidationError):
-            denoising_loss_and_grad(model, np.zeros((0, 4)), np.zeros(0), SCHED, seed=0)
+        empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0))
+        with pytest.raises(ValidationError, match="nonempty"):
+            train(model, empty, TrainConfig(), SCHED)
 
 
 class TestLossValues:
