@@ -37,7 +37,7 @@ from .regression import (
     pseudo_label,
     target_covariance,
 )
-from .sampler import SampleBatch, run_backward
+from .sampler import run_backward
 from .score_model import (
     CoveringScore,
     MlpScore,

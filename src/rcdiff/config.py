@@ -136,10 +136,10 @@ class RunConfig:
                 raise ConfigError("reward.nu must be positive and finite")
         if v["reward.lambda"] < 0:
             raise ConfigError("reward.lambda must be nonnegative")
-        # The labeled features span only the d-dimensional support, so an
-        # unregularized fit is singular unless the support fills the space.
-        if v["reward.lambda"] == 0 and v["world.d"] < v["world.D"]:
-            raise ConfigError("reward.lambda = 0 needs world.d = world.D")
+        # The labeled features span only the d-dimensional support and n2
+        # rows, so an unregularized fit is singular unless both fill the space.
+        if v["reward.lambda"] == 0 and min(v["world.d"], v["data.n2"]) < v["world.D"]:
+            raise ConfigError("reward.lambda = 0 needs world.d = world.D <= data.n2")
         if v["score.variant"] not in ("covering", "mlp", "oracle"):
             raise ConfigError("score.variant must be covering, mlp or oracle")
         hidden = v["score.hidden"]
@@ -152,6 +152,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be nonempty")
             if len({conv(x) for x in v[key]}) != len(v[key]):
                 raise ConfigError(f"{key} has duplicate values")
+        if min(v["sweep.seeds"]) < 0:
+            raise ConfigError("sweep.seeds must be nonnegative")
         try:
             DiffusionSchedule(v["schedule.T"], v["schedule.t0"], v["schedule.eta"])
             TrainConfig(batch_size=v["score.batch_size"], epochs=v["score.epochs"],

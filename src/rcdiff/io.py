@@ -2,7 +2,7 @@
 
 Two little-endian binary containers cover all numeric artifacts:
 
-* matrix file (sample batches) — header ``b"RCDS"``, u32 version,
+* matrix file (generated points) — header ``b"RCDS"``, u32 version,
   u64 row count, u64 column count, then row-major float64 data;
 * tensor-block file (models, ridge estimates) — header ``b"RCTB"``, u32
   version, u64 metadata length + UTF-8 JSON, u32 block count, then per
@@ -210,14 +210,17 @@ def a_tag(a: float) -> str:
     return f"{a + 0.0:g}".replace("-", "m").replace(".", "p")
 
 
-def save_samples(path_prefix, batch) -> str:
-    """Write a sample batch's points as ``<path_prefix>.bin``; returns the path.
+def save_samples(path_prefix, X) -> str:
+    """Write the (n, D) generated points ``X`` as ``<path_prefix>.bin``;
+    returns the path.
 
-    The batch's other fields are in the cell's ``metrics_a<tag>.json``
-    (``a``, ``n``, ``seed``, ``score_id``) and the run's config (schedule).
+    The file holds the points only.  Their target is the cell's ``a`` in
+    ``metrics_a<tag>.json``, their noise stream is fixed by the seed and
+    the target's index (``pipeline.SEED_SAMPLE``), and the model and the
+    schedule are in the run's manifest.
     """
     bin_path = str(path_prefix) + ".bin"
-    write_matrix(bin_path, batch.X)
+    write_matrix(bin_path, X)
     return bin_path
 
 

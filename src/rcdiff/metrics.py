@@ -29,7 +29,6 @@ from .oracle import (
     sample_conditional_latents,
 )
 from .regression import RidgeEstimate
-from .sampler import SampleBatch
 from .world import SubspaceWorld, decompose, true_reward
 
 
@@ -146,17 +145,20 @@ def reward_histogram(X: np.ndarray, world: SubspaceWorld, bins: int = 50) -> tup
 # ---------------------------------------------------------------------------
 
 def build_metrics_report(
-    batch: SampleBatch,
+    X: np.ndarray,
+    a: float,
     world: SubspaceWorld,
     est: RidgeEstimate,
     oracle: GaussianDesignOracle,
     V: np.ndarray,
     *,
+    t0: float,
     n_ref: int = 20000,
     bins: int = 50,
     seed,
 ) -> dict:
-    """Evaluate one generated batch against its target value.
+    """Evaluate the (n, D) points ``X`` generated at target ``a`` and
+    stopped at time ``t0``.
 
     Returns the cell's record, the dict written as ``metrics_a<tag>.json``;
     this literal is the one definition of its fields.  Raises
@@ -164,17 +166,15 @@ def build_metrics_report(
     not exactly ``a - avg_reward``, so a record that fails either check
     never reaches disk.
     """
-    a, X = batch.a, batch.X
+    a = float(a)
     subopt, avg_reward = suboptimality(X, world, a)
     dec = subopt_decomposition(X, world, est, oracle, a, n_ref, seed=seed)
-    law = noised_conditional_law(oracle, a, batch.schedule.t0)
+    law = noised_conditional_law(oracle, a, t0)
     mean_gap, cov_gap = moment_discrepancy(X, law)
     counts, edges = reward_histogram(X, world, bins=bins)
     record = {
         "a": a,
-        "n": batch.n,
-        "seed": batch.seed,
-        "score_id": batch.score_id,
+        "n": X.shape[0],
         "subspace_angle": subspace_angle(V, world.A),
         "off_support_mean": off_support_deviation(X, world),
         "avg_reward": avg_reward,

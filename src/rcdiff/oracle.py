@@ -23,7 +23,6 @@ density, so it can catch errors in the closed forms.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -93,13 +92,6 @@ class GaussianDesignOracle:
     @property
     def sigma_inv(self) -> np.ndarray:
         return self._sigma_inv
-
-    def params_digest(self) -> str:
-        payload = b"".join(
-            np.ascontiguousarray(a, dtype=float).tobytes()
-            for a in (self.world.A, self.world.Sigma, self.beta_hat, [self.nu])
-        )
-        return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def b_matrix(oracle: GaussianDesignOracle, t) -> np.ndarray:
@@ -206,10 +198,6 @@ class AnalyticScore:
     @property
     def D(self) -> int:
         return self.oracle.world.D
-
-    @property
-    def score_id(self) -> str:
-        return "oracle:" + self.oracle.params_digest()
 
 
 # ---------------------------------------------------------------------------

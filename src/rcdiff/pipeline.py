@@ -19,7 +19,11 @@ Each start reads ``manifest.json`` once (``_read_manifest``), or not at
 all under ``force``; that one dict answers whether the run is up to date
 and holds the training records.  The manifest keeps no copy of a fact the
 run holds elsewhere: the oracle of a seed is ``cfg.nu`` of its config and
-``A^T theta_hat`` from ``world.rctb`` and ``ridge.rctb``.
+``A^T theta_hat`` from ``world.rctb`` and ``ridge.rctb``.  Nor does a cell's
+record: the points of the i-th target of ``sweep.a`` follow the stream
+``derive(seed, SEED_SAMPLE, i)``, and the score is the seed's
+``score_model.rctb``, whose sha256 is in its training record, or the
+oracle's under ``score.variant = oracle``.
 
 Artifacts under the output directory::
 
@@ -30,7 +34,7 @@ Artifacts under the output directory::
     seed_<s>/labeled.csv         labeled features and labels, as text
     seed_<s>/ridge.rctb          reward estimate
     seed_<s>/score_model.rctb    fitted score model (none under ``score.variant = oracle``)
-    seed_<s>/samples_a<a>.bin    generated batch per target value (matrix container)
+    seed_<s>/samples_a<a>.bin    generated points per target value (matrix container)
     seed_<s>/metrics_a<a>.json   per-cell record (``metrics.build_metrics_report``)
 
 The unlabeled pool and the pseudo-labels are not stored.  Like the world
@@ -59,7 +63,7 @@ from .score_model import CoveringScore, MlpScore, extract_subspace, train
 from .world import generate_datasets, make_world
 
 # metrics.csv column -> per-cell record key, in header order.  None marks the
-# seed column: the stage's root seed, not the record's per-cell stream entropy.
+# seed column: the cell's root seed, which its record does not hold.
 CSV_COLUMNS = {
     "a": "a", "seed": None, "subopt": "subopt", "avg_reward": "avg_reward",
     "e1": "e1", "e2": "e2", "e3": "e3", "angle": "subspace_angle",
@@ -206,8 +210,9 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         path = sdir / "score_model.rctb"
         key = io.sha256_text(json.dumps([seed, {
             k: v for k, v in cfg.values.items() if k.startswith(MODEL_KEYS)}], sort_keys=True))
+        # The file is hashed once: a retrain re-adds it under its new sha256.
         if (previous.get("key") == key and path.is_file()
-                and io.sha256_file(path) == previous.get("sha256")):
+                and manifest.add_file(out, path) == previous.get("sha256")):
             score, record = io.load_model(path), dict(previous)
             log(f"seed {seed}: reusing score_model.rctb")
         else:
@@ -225,10 +230,9 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             del curated
             io.save_model(path, score)
             record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
-                      "key": key}
+                      "key": key, "sha256": manifest.add_file(out, path)}
             log(f"seed {seed}: trained "
                 f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
-        record["sha256"] = manifest.add_file(out, path)
         manifest.data.setdefault("training", {})[str(seed)] = record
 
     # Released before sampling, which holds every target's state at once.
@@ -239,21 +243,21 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     # noise stream i and metrics stream i.
     targets = cfg["sweep.a"]
     seeds = [derive(seed, SEED_SAMPLE, i) for i in range(len(targets))]
-    batches = timed("sample", lambda: run_backward(
+    samples = timed("sample", lambda: run_backward(
         score, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds,
     ))
     rows = []
-    for i, batch in enumerate(batches):
-        tag = io.a_tag(batch.a)
-        manifest.add_file(out, io.save_samples(sdir / f"samples_a{tag}", batch))
+    for i, (a, X) in enumerate(zip(targets, samples)):
+        tag = io.a_tag(a)
+        manifest.add_file(out, io.save_samples(sdir / f"samples_a{tag}", X))
         record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
-            batch, world, est, oracle, V,
+            X, a, world, est, oracle, V, t0=cfg["schedule.t0"],
             n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
             seed=derive(seed, SEED_METRICS, i),
         ))
         write(io.write_json, f"metrics_a{tag}.json", record)
         row = {col: seed if key is None else record[key] for col, key in CSV_COLUMNS.items()}
-        log(f"seed {seed} a={batch.a:g}: reward {row['avg_reward']:+.3f} "
+        log(f"seed {seed} a={a:g}: reward {row['avg_reward']:+.3f} "
             f"offsupport {row['offsupport']:.3f}")
         rows.append(row)
     return rows

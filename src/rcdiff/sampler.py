@@ -28,8 +28,6 @@ own the stacked call gives the bytes of one call per target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SamplerDivergedError, ValidationError
@@ -39,27 +37,6 @@ _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
 # Most state entries per score call: one 1024-row chunk at D = 64, six at D = 8.
 CALL_ENTRIES = 65_536
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Generated points plus everything needed to regenerate them."""
-
-    X: np.ndarray                 # (n, D)
-    a: float
-    schedule: DiffusionSchedule
-    score_id: str
-    seed: object
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise ValidationError("sample batch contains non-finite entries")
-        object.__setattr__(self, "X", X)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
 
 
 def backward_steps(schedule: DiffusionSchedule) -> list:
@@ -81,15 +58,15 @@ def run_backward(
     schedule: DiffusionSchedule,
     *,
     seeds,
-) -> list:
-    """Generate ``n`` points for each target value; one ``SampleBatch`` per target.
+) -> np.ndarray:
+    """Generate ``n`` points for each target value, as a (len(targets), n, D) array.
 
     ``score`` is any callable following the package convention
-    ``score(x, y, t)`` that carries its dimension as ``D`` (and its
-    ``score_id``) and returns a new (m, D) float array, which the sampler
-    updates in place.  ``seeds[i]`` seeds ``targets[i]`` and must be an
-    int or a SeedSequence so per-chunk streams can be derived.  Each
-    batch is a pure function of ``(score, a, n, schedule, seed)``.
+    ``score(x, y, t)`` that carries its dimension as ``D`` and returns a
+    new (m, D) float array, which the sampler updates in place.
+    ``seeds[i]`` seeds ``targets[i]`` and must be an int or a SeedSequence
+    so per-chunk streams can be derived.  The i-th (n, D) slice, the points
+    of ``targets[i]``, is a pure function of ``(score, a, n, schedule, seed)``.
     """
     targets = [float(a) for a in targets]
     seeds = list(seeds)
@@ -143,10 +120,7 @@ def run_backward(
                 row = lo + int(np.argmin(np.isfinite(xg).all(axis=1)))
                 raise SamplerDivergedError(k, targets[row // n])
             t_bwd += dt
-    score_id = getattr(score, "score_id", "unknown")
-    return [SampleBatch(X=x[i * n:(i + 1) * n], a=a, schedule=schedule,
-                        score_id=score_id, seed=_seed_repr(seed))
-            for i, (a, seed) in enumerate(zip(targets, seeds))]
+    return x.reshape(len(targets), n, D)
 
 
 def _call_groups(blocks, D) -> list:
@@ -163,8 +137,3 @@ def _call_groups(blocks, D) -> list:
             rows = m
     return groups
 
-
-def _seed_repr(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return list(map(int, np.atleast_1d(seed.entropy)))
-    return int(seed)

@@ -21,7 +21,7 @@ parameterizations:
 
 Each variant writes its forward once, ``_forward(X, y, t) -> (s, cache)``,
 and its backward once, ``_grads``; a shared base builds the score call, the
-loss with its gradients and ``score_id`` from the two.
+loss with its gradients from the two.
 
 Training minimizes the denoising objective: for a clean pair ``(x, y)``,
 time ``t ~ U[t0, T]`` and ``x' = alpha(t) x + sqrt(h(t)) eps``, the target
@@ -39,9 +39,6 @@ Score callables follow one convention throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import hashlib
-import json
 
 import numpy as np
 
@@ -62,14 +59,12 @@ SEED_TRAIN_VAL = 2    # the frozen validation draws
 class ZeroScore:
     """Trivial baseline: identically zero score."""
 
-    score_id = "zero"
-
     def __call__(self, x, y, t):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
 class _EncoderDecoderScore:
-    """Score call, loss and id shared by the encoder-decoder variants.
+    """Score call and loss shared by the encoder-decoder variants.
 
     A variant supplies ``_forward(X, y, t) -> (s, cache)`` on a 2-D ``X``
     and ``_grads(cache, e)``: the gradients of ``sum ||e||^2`` for the
@@ -89,15 +84,6 @@ class _EncoderDecoderScore:
         n = Xp.shape[0]
         grads = self._grads(cache, e)
         return float(np.vdot(e, e)) / n, {k: g / n for k, g in grads.items()}
-
-    @property
-    def score_id(self) -> str:
-        meta, blocks = self.to_blocks()
-        sha = hashlib.sha256(json.dumps(meta, sort_keys=True).encode())
-        for name in sorted(blocks):
-            sha.update(name.encode())
-            sha.update(np.ascontiguousarray(blocks[name], dtype=float).tobytes())
-        return "model:" + sha.hexdigest()[:16]
 
 
 class CoveringScore(_EncoderDecoderScore):

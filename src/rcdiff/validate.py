@@ -155,10 +155,10 @@ def check_sampler_moments() -> tuple[float, float]:
     world = make_world(D=4, d=2, seed=7)
     oracle = GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5)
     schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-    [batch] = run_backward(AnalyticScore(oracle), [2.0], 4096, schedule, seeds=[11])
+    [X] = run_backward(AnalyticScore(oracle), [2.0], 4096, schedule, seeds=[11])
     law = noised_conditional_law(oracle, 2.0, schedule.t0)
-    mean_err = float(np.max(np.abs(batch.X.mean(axis=0) - law[0])))
-    return mean_err, moment_discrepancy(batch.X, law)[1]
+    mean_err = float(np.max(np.abs(X.mean(axis=0) - law[0])))
+    return mean_err, moment_discrepancy(X, law)[1]
 
 
 GRADIENT_TOLS = {"covering": 1e-4, "mlp": 1e-3}

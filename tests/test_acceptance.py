@@ -239,8 +239,8 @@ def test_criterion_10_determinism(tmp_path):
     score = AnalyticScore(GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5))
     schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
     for run in ("one", "two"):
-        [batch] = run_backward(score, [2.0], 4096, schedule, seeds=[11])
-        io.save_samples(tmp_path / f"c3_{run}", batch)
+        [X] = run_backward(score, [2.0], 4096, schedule, seeds=[11])
+        io.save_samples(tmp_path / f"c3_{run}", X)
     assert (tmp_path / "c3_one.bin").read_bytes() == (tmp_path / "c3_two.bin").read_bytes()
 
     # One pipeline cell rerun: byte-identical samples and metrics report.

@@ -1,6 +1,6 @@
 """Command-line harness: exit codes, artifacts, idempotence, figures."""
 
-import json
+import os
 
 import pytest
 
@@ -101,8 +101,6 @@ class TestPipelineCommand:
         for row in rows:
             sdir = out / f"seed_{row['seed']}"
             record = io.read_json(sdir / f"metrics_a{io.a_tag(row['a'])}.json")
-            # The record keeps the cell's stream entropy, rooted at the seed.
-            assert record["seed"][0] == row["seed"]
             assert row == {col: row["seed"] if key is None else record[key]
                            for col, key in CSV_COLUMNS.items()}
 
@@ -117,10 +115,15 @@ class TestPipelineCommand:
         "sweep.a = 0, -0", "reward.nu = 0", "world.offsupport_coeff = -1",
         "reward.lambda = -1", "reward.lambda = nan", "reward.lambda = 0",
         "sweep.a = 0, inf", "score.learning_rate = 0", "score.learning_rate = -1",
+        "sweep.seeds = -1", "reward.lambda = 0\nworld.D = 4\nworld.d = 4\ndata.n2 = 3",
     ])
     def test_dry_run_rejects_config_that_fails_later(self, smoke_cfg, line):
         cfg, out = smoke_cfg
-        cfg.write_text(cfg.read_text().replace("sweep.", "# sweep.") + line + "\n")
+        # The sweep keys and every key that ``line`` sets leave the smoke config.
+        keys = {row.partition("=")[0].strip() for row in line.splitlines()}
+        kept = [row for row in cfg.read_text().splitlines()
+                if not row.startswith("sweep.") and row.partition("=")[0].strip() not in keys]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == EXIT_CONFIG
         assert not out.exists()
 
@@ -128,15 +131,16 @@ class TestPipelineCommand:
         cfg, out = smoke_cfg
         oracle_cfg = cfg.with_name("oracle.cfg")
         oracle_cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+        model = out / "seed_0" / "score_model.rctb"
         assert main(["pipeline", "--config", str(oracle_cfg)]) == EXIT_OK
-        assert not (out / "seed_0" / "score_model.rctb").exists()
-        record = json.loads((out / "seed_0" / "metrics_a2.json").read_text())
-        assert record["score_id"].startswith("oracle:")
+        manifest = io.read_json(out / "manifest.json")
+        assert manifest["config"]["score.variant"] == "oracle"
+        assert not model.exists() and "training" not in manifest
         assert main(["figures", "--config", str(oracle_cfg)]) == EXIT_OK
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" not in capsys.readouterr().out
-        record = json.loads((out / "seed_0" / "metrics_a2.json").read_text())
-        assert record["score_id"].startswith("model:")
+        manifest = io.read_json(out / "manifest.json")
+        assert manifest["training"]["0"]["sha256"] == io.sha256_file(model)
         # The config digest keys the score source: each run is up to date
         # with respect to its own config only.
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
@@ -430,6 +434,20 @@ class TestModelReuse:
         # --force never reads the record: it retrains over a reusable model.
         assert _pipeline(cfg, "--force") == EXIT_OK
         assert "seed 0: trained" in capsys.readouterr().out
+
+    def test_reuse_hashes_each_file_once(self, trained, monkeypatch, capsys):
+        cfg, out = trained
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
+        hashed = []
+        sha256_file = io.sha256_file
+
+        def counted(path):
+            hashed.append(os.path.relpath(path, out))
+            return sha256_file(path)
+        monkeypatch.setattr(io, "sha256_file", counted)
+        assert _pipeline(cfg) == EXIT_OK
+        assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
+        assert sorted(hashed) == sorted(io.read_json(out / "manifest.json")["files"])
 
     def test_eta_change_reuses_the_model(self, trained, capsys):
         # Training draws t on [t0, T]; the sampler's step does not reach it.

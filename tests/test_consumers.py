@@ -1,4 +1,5 @@
-"""Every definition in the package has a consumer in the package.
+"""Every definition in the package has a consumer in the package, and
+every module-level import is read by the module that makes it.
 
 Definitions are the top-level functions and classes, the methods and
 properties of those classes, dunders excepted, and the fields of its
@@ -91,3 +92,19 @@ def test_every_field_is_read():
               for node in cls.body if isinstance(node, ast.AnnAssign)
               and node.target.id not in read}
     assert unread == set(KEPT_FIELDS)
+
+
+def test_every_import_is_used():
+    # ``__init__.py`` imports to re-export, so it is exempt here too.
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unused |= {f"{path.stem}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in names}
+    assert unused == set()

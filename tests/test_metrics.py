@@ -95,9 +95,9 @@ class TestOffSupportDeviation:
         w = make_world(D=64, d=16, seed=4)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.0025)
-        [batch] = run_backward(AnalyticScore(orc), [1.0], 2048, sched, seeds=[5])
+        [X] = run_backward(AnalyticScore(orc), [1.0], 2048, sched, seeds=[5])
         predicted = math.sqrt(sched.t0 * (64 - 16))
-        assert abs(off_support_deviation(batch.X, w) - predicted) / predicted < 0.15
+        assert abs(off_support_deviation(X, w) - predicted) / predicted < 0.15
 
 
 class TestSuboptimality:
@@ -191,12 +191,12 @@ class TestPushforwardDiscrepancy:
         w = make_world(D=8, d=3, seed=0)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-        [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[1])
+        [X] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[1])
         # Latent push-forward through the true frame against the noised
         # conditional latent law at the early-stop time.
         mean, cov = noised_conditional_law(orc, 2.0, sched.t0)
         law = (w.A.T @ mean, w.A.T @ cov @ w.A)
-        mean_gap, cov_gap = moment_discrepancy(batch.X @ w.A, law)
+        mean_gap, cov_gap = moment_discrepancy(X @ w.A, law)
         assert mean_gap < 0.1
         assert cov_gap < 0.1
 
@@ -248,15 +248,11 @@ class TestRewardHistogram:
 
 class TestMetricsReport:
     def _report(self):
-        from rcdiff.sampler import SampleBatch
-
         w = make_world(D=6, d=2, seed=0)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         X = np.random.default_rng(1).standard_normal((40, 6))
-        sched = DiffusionSchedule(terminal_time=2.0, t0=0.05, eta=0.05)
-        batch = SampleBatch(X=X, a=2.0, schedule=sched, score_id="zero", seed=[0, 20, 1])
-        return build_metrics_report(batch, w, _unit_est(w), orc, w.A, n_ref=100, bins=4,
-                                    seed=3)
+        return build_metrics_report(X, 2.0, w, _unit_est(w), orc, w.A, t0=0.05,
+                                    n_ref=100, bins=4, seed=3)
 
     def test_rejects_non_finite(self, monkeypatch):
         monkeypatch.setattr(metrics, "distro_shift_surrogate",
@@ -275,13 +271,13 @@ class TestMetricsReport:
         record = self._report()
         assert sorted(record) == [
             "a", "avg_reward", "distro_shift", "distro_shift_kind", "e1", "e2", "e3",
-            "histogram", "moment_discrepancy", "n", "off_support_mean", "score_id",
-            "seed", "subopt", "subspace_angle",
+            "histogram", "moment_discrepancy", "n", "off_support_mean",
+            "subopt", "subspace_angle",
         ]
         assert sorted(record["moment_discrepancy"]) == ["cov_gap", "mean_gap"]
         assert sorted(record["histogram"]) == ["counts", "edges"]
         assert record["distro_shift_kind"] == "known-sigma-surrogate"
-        assert (record["a"], record["n"], record["seed"]) == (2.0, 40, [0, 20, 1])
+        assert (record["a"], record["n"]) == (2.0, 40)
         assert record["subopt"] == record["a"] - record["avg_reward"]
         assert sum(record["histogram"]["counts"]) == 40
         assert len(record["histogram"]["edges"]) == 5

@@ -42,41 +42,39 @@ class TestRunBackward:
     def test_zero_steps_returns_standard_normal_init(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=5.0, t0=5.0, eta=1.0)
-        [batch] = run_backward(AnalyticScore(orc), [3.0], 20_000, sched, seeds=[4])
-        assert np.max(np.abs(batch.X.mean(axis=0))) < 0.03
-        emp = np.cov(batch.X.T, bias=True)
+        [X] = run_backward(AnalyticScore(orc), [3.0], 20_000, sched, seeds=[4])
+        assert np.max(np.abs(X.mean(axis=0))) < 0.03
+        emp = np.cov(X.T, bias=True)
         assert np.max(np.abs(emp - np.eye(4))) < 0.05
 
     def test_bit_identical_determinism(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=3.0, t0=0.05, eta=0.05)
-        [b1] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
-        [b2] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
-        assert np.array_equal(b1.X, b2.X)
-        assert b1.score_id == b2.score_id
+        [X1] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
+        [X2] = run_backward(AnalyticScore(orc), [1.0], 64, sched, seeds=[9])
+        assert np.array_equal(X1, X2)
 
     def test_seed_sequence_is_not_advanced(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=1.0, t0=0.05, eta=0.05)
         ss = np.random.SeedSequence([3, 20, 1])
         n = CHUNK_SIZE + 8  # two chunks, so two child streams
-        [b1] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
-        [b2] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
+        [X1] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
+        [X2] = run_backward(AnalyticScore(orc), [1.0], n, sched, seeds=[ss])
         [fresh] = run_backward(AnalyticScore(orc), [1.0], n, sched,
                                seeds=[np.random.SeedSequence([3, 20, 1])])
         assert ss.n_children_spawned == 0
-        assert b1.seed == b2.seed
-        assert np.array_equal(b1.X, b2.X)
-        assert np.array_equal(b1.X, fresh.X)
+        assert np.array_equal(X1, X2)
+        assert np.array_equal(X1, fresh)
 
     def test_covariance_error_nonincreasing_in_step_size(self):
         orc = _oracle()
         mean_err = {}
         for eta in (0.04, 0.02, 0.01, 0.005):
             sched = DiffusionSchedule(terminal_time=10.0, t0=0.04, eta=eta)
-            [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[13])
+            [X] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[13])
             _, cov = noised_conditional_law(orc, 2.0, sched.t0)
-            emp = np.cov(batch.X.T, bias=True)
+            emp = np.cov(X.T, bias=True)
             mean_err[eta] = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
         # Discretization bias shrinks with eta; allow 2x slack for the
         # Monte Carlo noise floor at the small-eta end.
@@ -88,9 +86,9 @@ class TestRunBackward:
         means = {}
         for t0 in (0.01, 0.04):
             sched = DiffusionSchedule(terminal_time=10.0, t0=t0, eta=0.005)
-            [batch] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[3])
+            [X] = run_backward(AnalyticScore(orc), [2.0], 8192, sched, seeds=[3])
             A = orc.world.A
-            perp = batch.X - (batch.X @ A) @ A.T
+            perp = X - (X @ A) @ A.T
             means[t0] = float(np.mean(np.linalg.norm(perp, axis=1)))
         ratio = means[0.04] / means[0.01]
         assert 1.6 <= ratio <= 2.5  # fourfold early stop, sqrt scaling
@@ -99,7 +97,6 @@ class TestRunBackward:
     def test_divergence_reports_step_index(self):
         class ExplodingScore:
             D = 4
-            score_id = "exploding"
 
             def __call__(self, x, y, t):
                 return x * 1e200
@@ -118,16 +115,13 @@ class TestRunBackward:
             run_backward(lambda x, y, t: x, [0.0], 4, sched, seeds=[0])
 
     def test_callable_with_explicit_dim(self):
-        class Contractor:
-            D, score_id = 3, "contractor"
+        def contractor(x, y, t):
+            return -x
 
-            def __call__(self, x, y, t):
-                return -x
-
+        contractor.D = 3  # the one attribute the sampler reads
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        [batch] = run_backward(Contractor(), [0.0], 16, sched, seeds=[1])
-        assert batch.X.shape == (16, 3)
-        assert batch.score_id == "contractor"
+        [X] = run_backward(contractor, [0.0], 16, sched, seeds=[1])
+        assert X.shape == (16, 3)
 
     def test_chunk_prefix_property(self):
         # The fixed splitting rule makes the first chunk of a larger batch
@@ -137,7 +131,7 @@ class TestRunBackward:
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
         [big] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE + 200, sched, seeds=[5])
         [small] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE, sched, seeds=[5])
-        assert np.array_equal(big.X[:CHUNK_SIZE], small.X)
+        assert np.array_equal(big[:CHUNK_SIZE], small)
 
     def test_generator_seed_rejected(self):
         orc = _oracle()
@@ -159,22 +153,16 @@ class TestStackedTargets:
         targets, seeds = [0.0, 2.0, -1.5], [3, np.random.SeedSequence([4, 20, 1]), 5]
         n = CHUNK_SIZE + 200
         stacked = run_backward(score, targets, n, self.SCHED, seeds=seeds)
-        for a, seed, batch in zip(targets, seeds, stacked):
-            if isinstance(seed, np.random.SeedSequence):
-                # A fresh one: spawning chunk streams advances the one passed in.
-                seed = np.random.SeedSequence(seed.entropy)
+        assert stacked.shape == (len(targets), n, 8)
+        for a, seed, X in zip(targets, seeds, stacked):
             [single] = run_backward(score, [a], n, self.SCHED, seeds=[seed])
-            assert batch.a == a and batch.X.shape == (n, 8)
-            assert batch.X.tobytes() == single.X.tobytes()
-            assert batch.seed == single.seed and batch.score_id == single.score_id
+            assert X.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("D, calls_per_step", [(8, 1), (64, 6)])
     def test_score_calls_per_step(self, D, calls_per_step):
         rows = []
 
         class Counting:
-            score_id = "counting"
-
             def __call__(self, x, y, t):
                 rows.append(x.shape[0])
                 return -x
@@ -187,7 +175,7 @@ class TestStackedTargets:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_target(self):
         class ExplodesAtTwo:
-            D, score_id = 4, "explodes-at-two"
+            D = 4
 
             def __call__(self, x, y, t):
                 return np.where((y == 2.0)[:, None], x * 1e200, -x)

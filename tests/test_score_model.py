@@ -358,4 +358,7 @@ class TestSerialization:
         X = rng.standard_normal((4, 6))
         y = rng.standard_normal(4)
         np.testing.assert_array_equal(model(X, y, 0.5), clone(X, y, 0.5))
-        assert model.score_id == clone.score_id
+        clone_meta, clone_blocks = clone.to_blocks()
+        assert clone_meta == meta and sorted(clone_blocks) == sorted(blocks)
+        for name, block in blocks.items():
+            np.testing.assert_array_equal(clone_blocks[name], block)
