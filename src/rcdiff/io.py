@@ -142,12 +142,14 @@ def read_blocks(path) -> tuple[dict, dict]:
 
 @contextmanager
 def _fields_of(path):
-    """Report a metadata key or block that the file at ``path`` lacks as a
-    ``ValidationError`` naming the file and the key."""
+    """Report a metadata key or block that the file at ``path`` lacks, or
+    contents that fail validation, as a ``ValidationError`` naming the file."""
     try:
         yield
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_ridge(path, est) -> None:

@@ -29,7 +29,7 @@ from .oracle import (
     sample_conditional_latents,
 )
 from .regression import RidgeEstimate
-from .world import SubspaceWorld, decompose, true_reward
+from .world import SubspaceWorld, _check_orthonormal, decompose, true_reward
 
 
 def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
@@ -38,10 +38,8 @@ def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
     A = np.asarray(A, dtype=float)
     if V.shape != A.shape:
         raise DimensionError(f"shape mismatch: {V.shape} vs {A.shape}")
-    for M, name in ((V, "V"), (A, "A")):
-        err = np.max(np.abs(M.T @ M - np.eye(M.shape[1])))
-        if err > 1e-8:
-            raise ValidationError(f"{name} must have orthonormal columns")
+    _check_orthonormal(V, tol=1e-8, name="V")
+    _check_orthonormal(A, tol=1e-8, name="A")
     diff = V @ V.T - A @ A.T
     return float(np.sum(diff * diff))
 

@@ -15,13 +15,15 @@ parameterizations:
   of ``S`` per call (eigenvalues floored at ``SPD_FLOOR``) makes
   ``alpha^2 I + h S`` diagonal, and the ``b b^T`` term is a rank-1
   Sherman-Morrison correction, so applying ``B_t`` at a shared or a
-  per-row time costs O(n d) after the eigenbasis is folded into ``V``;
+  per-row time costs O(n d^2) once ``u`` is rotated into the eigenbasis;
 * ``mlp``: a fully-connected rectified-linear network on the features
   ``(u, y, t, alpha(t), h(t))``.
 
-Each variant writes its forward once, ``_forward(X, y, t) -> (s, cache)``,
-and its backward once, ``_grads``; a shared base builds the score call, the
-loss with its gradients from the two.
+The shared base writes the encoder ``u = X V``, the decoder, the loss with
+its gradients (the whole ``V`` gradient included) and the model file once.
+A variant writes only its head: ``_psi(u, y, t) -> (psi, cache)`` and its
+backward ``_psi_grads(cache, dL/dpsi) -> (grads, dL/du)``, and names the
+constructor arguments besides ``D``, ``d`` and ``nu`` in ``_shape_keys``.
 
 Training minimizes the denoising objective: for a clean pair ``(x, y)``,
 time ``t ~ U[t0, T]`` and ``x' = alpha(t) x + sqrt(h(t)) eps``, the target
@@ -64,26 +66,66 @@ class ZeroScore:
 
 
 class _EncoderDecoderScore:
-    """Score call and loss shared by the encoder-decoder variants.
+    """``s = (psi(X V, y, t) V^T - X) / h(t)``: encoder, decoder, loss, file.
 
-    A variant supplies ``_forward(X, y, t) -> (s, cache)`` on a 2-D ``X``
-    and ``_grads(cache, e)``: the gradients of ``sum ||e||^2`` for the
-    residual ``e = s - target``.
+    A variant supplies the head on the (n, d) code ``u``:
+    ``_psi(u, y, t) -> (psi, cache)`` and
+    ``_psi_grads(cache, dpsi) -> (grads, du)``, which maps the gradient of
+    the loss with respect to ``psi`` to the gradients of the head's
+    parameters and the gradient with respect to ``u``.
     """
+
+    _shape_keys: tuple = ()  # constructor arguments kept in the model file
 
     def __call__(self, x, y, t):
         x = np.asarray(x, dtype=float)
         s, _ = self._forward(np.atleast_2d(x), y, t)
         return s[0] if x.ndim == 1 else s
 
+    def _forward(self, X, y, t):
+        V, h = self.params["V"], h_of(t)
+        psi, cache = self._psi(X @ V, y, t)
+        out = psi @ V.T
+        # In place: a fresh (n, D) temporary costs more than the arithmetic.
+        out -= X
+        out /= h[..., None]
+        return out, (h, psi, cache)
+
     def loss_and_grad(self, X, y, t, eps):
-        """Pathwise denoising loss for fixed draws ``(t, eps)``, exact gradients."""
+        """Pathwise denoising loss for fixed draws ``(t, eps)``, exact gradients.
+
+        With ``w = 2/h`` per row and residual ``e = s - target``, the loss
+        ``sum ||e||^2`` has ``dL/dpsi = w (e V)`` and
+        ``dL/dV = (w e)^T psi + X^T dL/du``.
+        """
         Xp, target = _noised(X, t, eps)
-        s, cache = self._forward(Xp, y, t)
+        s, (h, psi, cache) = self._forward(Xp, y, t)
         e = s - target
+        w = (2.0 / h)[:, None]
+        grads, du = self._psi_grads(cache, w * (e @ self.params["V"]))
+        grads["V"] = (w * e).T @ psi + Xp.T @ du
         n = Xp.shape[0]
-        grads = self._grads(cache, e)
         return float(np.vdot(e, e)) / n, {k: g / n for k, g in grads.items()}
+
+    # -- persistence --------------------------------------------------------
+
+    def to_blocks(self):
+        meta = {"variant": self.variant, "D": self.D, "d": self.d, "nu": self.nu}
+        meta.update((k, getattr(self, k)) for k in self._shape_keys)
+        return meta, dict(self.params)
+
+    @classmethod
+    def from_blocks(cls, meta: dict, blocks: dict):
+        """A fresh model of ``meta``'s shape with every parameter read from ``blocks``."""
+        model = cls(meta["D"], meta["d"], meta["nu"], seed=0,
+                    **{k: meta[k] for k in cls._shape_keys})
+        for name, param in model.params.items():
+            block = np.array(blocks[name], dtype=float)
+            if block.shape != param.shape:
+                raise ValidationError(
+                    f"block {name!r} has shape {block.shape}, expected {param.shape}")
+            model.params[name] = block
+        return model
 
 
 class CoveringScore(_EncoderDecoderScore):
@@ -91,21 +133,18 @@ class CoveringScore(_EncoderDecoderScore):
 
     variant = "covering"
 
-    def __init__(self, D: int, d: int, nu: float, *, seed, params: dict | None = None):
+    def __init__(self, D: int, d: int, nu: float, *, seed):
         if not nu > 0:
             raise ValidationError("covering variant requires nu > 0")
         self.D, self.d, self.nu = int(D), int(d), float(nu)
-        if params is not None:
-            self.params = {k: np.array(v, dtype=float) for k, v in params.items()}
-        else:
-            rng = np.random.default_rng(seed)
-            self.params = {
-                "V": rng.standard_normal((D, d)) / np.sqrt(D),
-                "beta_tilde": np.zeros(d),
-                "sigma_inv_tril": np.eye(d),
-            }
+        rng = np.random.default_rng(seed)
+        self.params = {
+            "V": rng.standard_normal((D, d)) / np.sqrt(D),
+            "beta_tilde": np.zeros(d),
+            "sigma_inv_tril": np.eye(d),
+        }
 
-    def _head(self, alpha, h):
+    def _factors(self, alpha, h):
         """Eigenbasis of ``S`` and the factors of ``B_t`` in it.
 
         With ``S = Q diag(lam) Q^T`` (eigenvalues floored at ``SPD_FLOOR``)
@@ -115,7 +154,7 @@ class CoveringScore(_EncoderDecoderScore):
         ``g = dinv bq`` and ``k = c/(1 + c bq.g)``, which ``_b_apply`` applies
         in O(n d) with no inverse.  ``alpha`` and ``h`` are scalars for a
         shared time or (n,) per row; ``dinv`` and ``g`` are (d, 1) or (d, n).
-        Returns ``Q``, ``VQ = V Q``, ``bq`` and ``(dinv, g, k)``.
+        Returns ``Q``, ``bq`` and ``(dinv, g, k)``.
         """
         # eigh reads only the lower triangle, which is the stored parameter.
         lam, Q = np.linalg.eigh(self.params["sigma_inv_tril"])
@@ -123,31 +162,23 @@ class CoveringScore(_EncoderDecoderScore):
         c = h / self.nu**2
         dinv = 1.0 / (alpha * alpha + h * np.maximum(lam, SPD_FLOOR)[:, None])
         g = dinv * bq[:, None]
-        return Q, self.params["V"] @ Q, bq, (dinv, g, c / (1.0 + c * (bq @ g)))
+        return Q, bq, (dinv, g, c / (1.0 + c * (bq @ g)))
 
-    def _forward(self, X, y, t):
+    def _psi(self, u, y, t):
         alpha, h = alpha_of(t), h_of(t)
         c = h / self.nu**2
         y = np.ravel(y)
-        Q, VQ, bq, B = self._head(alpha, h)
-        # Rows of X are columns here, so a shared or a per-row time broadcasts
-        # the same way along the last axis.  mq = Q^T B w, in the eigenbasis.
-        mq = _b_apply(B, alpha * (VQ.T @ X.T) + bq[:, None] * (c * y))
-        out = (alpha * mq).T @ VQ.T
-        # In place: a fresh (n, D) temporary costs more than the arithmetic.
-        out -= X
-        out /= h[..., None]
-        return out, (X, y, alpha, h, c, Q, VQ, B, mq)
+        Q, bq, B = self._factors(alpha, h)
+        # Rows of u are columns here, so a shared or a per-row time broadcasts
+        # the same way along the last axis.  m = B w, rotated back from the
+        # eigenbasis.
+        m = (Q @ _b_apply(B, alpha * (Q.T @ u.T) + bq[:, None] * (c * y))).T
+        return alpha[..., None] * m, (y, alpha, h, c, Q, B, m)
 
-    def _grads(self, cache, e):
-        X, y, alpha, h, c, Q, VQ, B, mq = cache
+    def _psi_grads(self, cache, dpsi):
+        y, alpha, h, c, Q, B, m = cache
         b = self.params["beta_tilde"]
-        # m = B w and p = B q, rotated back from the eigenbasis.
-        m = (Q @ mq).T
-        g = alpha[:, None] * m
-        p = (Q @ _b_apply(B, (2.0 / h) * (VQ.T @ e.T))).T
-
-        grad_V = ((2.0 / h)[:, None] * e).T @ g + ((alpha**2)[:, None] * X).T @ p
+        p = (Q @ _b_apply(B, Q.T @ dpsi.T)).T  # B dpsi, row by row
         coef = alpha * c
         grad_b = (
             p.T @ (coef * y)
@@ -155,36 +186,13 @@ class CoveringScore(_EncoderDecoderScore):
             - m.T @ (coef * (p @ b))
         )
         G = -((alpha * h)[:, None] * p).T @ m
-        sym = G + G.T
-        grad_tril = np.tril(sym)
+        grad_tril = np.tril(G + G.T)
         np.fill_diagonal(grad_tril, np.diag(G))
-        return {"V": grad_V, "beta_tilde": grad_b, "sigma_inv_tril": grad_tril}
-
-    # -- persistence --------------------------------------------------------
-
-    def to_blocks(self):
-        meta = {"variant": self.variant, "D": self.D, "d": self.d, "nu": self.nu}
-        blocks = {
-            "V": self.params["V"],
-            "beta_tilde": self.params["beta_tilde"],
-            "SigmaInv": self.params["sigma_inv_tril"],
-        }
-        return meta, blocks
-
-    @classmethod
-    def from_blocks(cls, meta: dict, blocks: dict) -> "CoveringScore":
-        return cls(
-            meta["D"], meta["d"], meta["nu"], seed=0,
-            params={
-                "V": blocks["V"],
-                "beta_tilde": blocks["beta_tilde"],
-                "sigma_inv_tril": blocks["SigmaInv"],
-            },
-        )
+        return {"beta_tilde": grad_b, "sigma_inv_tril": grad_tril}, (alpha**2)[:, None] * p
 
 
 def _b_apply(factors, W):
-    """``Q^T B_t Q`` times the columns of ``W`` (d, n); see ``CoveringScore._head``."""
+    """``Q^T B_t Q`` times the columns of ``W`` (d, n); see ``CoveringScore._factors``."""
     dinv, g, k = factors
     return dinv * W - (k * np.einsum("ij,ij->j", W, g)) * g
 
@@ -193,25 +201,14 @@ class MlpScore(_EncoderDecoderScore):
     """Encoder-decoder score with a small rectified-linear head."""
 
     variant = "mlp"
+    _shape_keys = ("hidden",)
 
-    def __init__(
-        self,
-        D: int,
-        d: int,
-        nu: float = 0.0,
-        hidden: tuple = (128, 128),
-        *,
-        seed,
-        params: dict | None = None,
-    ):
+    def __init__(self, D: int, d: int, nu: float = 0.0, hidden: tuple = (128, 128), *, seed):
         if not 1 <= len(hidden) <= 3:
             raise ValidationError("mlp head supports 1 to 3 hidden layers")
         self.D, self.d, self.nu = int(D), int(d), float(nu)
         self.hidden = tuple(int(w) for w in hidden)
         self.n_layers = len(self.hidden) + 1
-        if params is not None:
-            self.params = {k: np.array(v, dtype=float) for k, v in params.items()}
-            return
         rng = np.random.default_rng(seed)
         dims = [d + 4, *self.hidden, d]
         self.params = {"V": rng.standard_normal((D, d)) / np.sqrt(D)}
@@ -219,13 +216,11 @@ class MlpScore(_EncoderDecoderScore):
             self.params[f"W{i}"] = rng.standard_normal((fin, fout)) * np.sqrt(2.0 / fin)
             self.params[f"b{i}"] = np.zeros(fout)
 
-    def _forward(self, X, y, t):
-        n = X.shape[0]
+    def _psi(self, u, y, t):
+        n = u.shape[0]
         y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,)).astype(float)
         t = np.broadcast_to(np.asarray(t, dtype=float).ravel(), (n,)).astype(float)
-        h = h_of(t)
-        V = self.params["V"]
-        a = np.column_stack([X @ V, y, t, alpha_of(t), h])
+        a = np.column_stack([u, y, t, alpha_of(t), h_of(t)])
         acts = [a]
         for i in range(1, self.n_layers + 1):
             # In place: the cache keeps every layer, and fresh (n, width) arrays page-fault.
@@ -234,44 +229,21 @@ class MlpScore(_EncoderDecoderScore):
             if i < self.n_layers:
                 np.maximum(a, 0.0, out=a)
             acts.append(a)
-        return (a @ V.T - X) / h[:, None], (X, h, acts)
+        return a, acts
 
-    def _grads(self, cache, e):
-        X, h, acts = cache
+    def _psi_grads(self, acts, delta):
         grads = {}
-        delta = (2.0 / h)[:, None] * (e @ self.params["V"])
         for i in range(self.n_layers, 0, -1):
             grads[f"W{i}"] = acts[i - 1].T @ delta
             grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"W{i}"].T
             if i > 1:
                 delta = delta * (acts[i - 1] > 0)  # ReLU output > 0 iff its input > 0
-        grads["V"] = ((2.0 / h)[:, None] * e).T @ acts[-1] + X.T @ delta[:, : self.d]
-        return grads
-
-    def to_blocks(self):
-        meta = {
-            "variant": self.variant,
-            "D": self.D,
-            "d": self.d,
-            "nu": self.nu,
-            "hidden": list(self.hidden),
-        }
-        return meta, dict(self.params)
-
-    @classmethod
-    def from_blocks(cls, meta: dict, blocks: dict) -> "MlpScore":
-        hidden = tuple(meta["hidden"])
-        # Every layer's block is looked up here, so a missing one fails the load.
-        names = ["V", *(f"{p}{i}" for i in range(1, len(hidden) + 2) for p in "Wb")]
-        return cls(
-            meta["D"], meta["d"], meta["nu"],
-            hidden=hidden, seed=0, params={k: blocks[k] for k in names},
-        )
+        return grads, delta[:, : self.d]
 
 
 def model_from_blocks(meta: dict, blocks: dict):
-    for cls in (CoveringScore, MlpScore):
+    for cls in _EncoderDecoderScore.__subclasses__():
         if meta.get("variant") == cls.variant:
             return cls.from_blocks(meta, blocks)
     raise ValidationError(f"unknown model variant {meta.get('variant')!r}")

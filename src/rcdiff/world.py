@@ -22,11 +22,11 @@ from .errors import DimensionError, ValidationError
 ORTHO_TOL = 1e-10
 
 
-def _check_orthonormal(A: np.ndarray, tol: float = ORTHO_TOL) -> None:
+def _check_orthonormal(A: np.ndarray, tol: float = ORTHO_TOL, name: str = "A") -> None:
     gram = A.T @ A
     err = np.max(np.abs(gram - np.eye(A.shape[1])))
     if err > tol:
-        raise ValidationError(f"columns not orthonormal (max Gram error {err:.3e})")
+        raise ValidationError(f"{name}: columns not orthonormal (max Gram error {err:.3e})")
 
 
 def _check_spd(S: np.ndarray, name: str = "Sigma") -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from rcdiff import io
 from rcdiff.config import RunConfig, SCHEMA, load_config, parse_config_text
 from rcdiff.errors import ConfigError, ValidationError
-from rcdiff.score_model import CoveringScore, MlpScore
+from rcdiff.score_model import MlpScore, _EncoderDecoderScore
 from rcdiff.world import make_world
 
 
@@ -98,10 +98,10 @@ class TestTensorBlocks:
         np.testing.assert_array_equal(w2.A, w.A)
         assert w2.offsupport_sign == w.offsupport_sign
 
-    @pytest.mark.parametrize("variant", ["covering", "mlp"])
-    def test_model_roundtrip(self, tmp_path, variant):
-        model = (CoveringScore(6, 2, nu=0.5, seed=1) if variant == "covering"
-                 else MlpScore(6, 2, hidden=(16, 16), seed=1))
+    @pytest.mark.parametrize("cls", _EncoderDecoderScore.__subclasses__(),
+                             ids=lambda cls: cls.variant)
+    def test_model_roundtrip(self, tmp_path, cls):
+        model = cls(6, 2, 0.5, seed=1)
         io.save_model(tmp_path / "m.rctb", model)
         # The file holds the model alone: the schedule is the run's config.
         meta, _ = io.read_blocks(tmp_path / "m.rctb")
@@ -131,6 +131,17 @@ class TestTensorBlocks:
         load = io.load_model if kind == "model" else io.load_world
         with pytest.raises(ValidationError, match=f"f.rctb: missing key '{key}'"):
             load(tmp_path / "f.rctb")
+
+    @pytest.mark.parametrize("cls", _EncoderDecoderScore.__subclasses__(),
+                             ids=lambda cls: cls.variant)
+    def test_wrong_block_shape_names_file_and_block(self, tmp_path, cls):
+        io.save_model(tmp_path / "f.rctb", cls(6, 2, 0.5, seed=1))
+        meta, blocks = io.read_blocks(tmp_path / "f.rctb")
+        blocks["V"] = np.zeros((6, 3))
+        io.write_blocks(tmp_path / "f.rctb", meta, blocks)
+        with pytest.raises(ValidationError,
+                           match=r"f.rctb: block 'V' has shape \(6, 3\), expected \(6, 2\)"):
+            io.load_model(tmp_path / "f.rctb")
 
 
 class TestManifest:

@@ -22,6 +22,7 @@ from rcdiff.score_model import (
     MlpScore,
     TrainConfig,
     ZeroScore,
+    _EncoderDecoderScore,
     _time_and_noise,
     exact_objective,
     extract_subspace,
@@ -80,7 +81,8 @@ class TestCoveringHead:
     def test_oracle_parameters_give_the_analytic_score(self):
         w = make_world(D=7, d=3, sigma=np.diag([1.0, 0.5, 0.2]), seed=3)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.4)
-        model = CoveringScore(7, 3, nu=0.4, seed=0, params={
+        model = CoveringScore(7, 3, nu=0.4, seed=0)
+        model.params.update({
             "V": w.A, "beta_tilde": w.beta_star,
             "sigma_inv_tril": np.tril(orc.sigma_inv),
         })
@@ -99,8 +101,8 @@ class TestCoveringHead:
         S_floored = (R * np.maximum(evals, SPD_FLOOR)) @ R.T
         V = rng.standard_normal((D, d))
         b = rng.standard_normal(d)
-        model = CoveringScore(D, d, nu, seed=0, params={
-            "V": V, "beta_tilde": b, "sigma_inv_tril": np.tril(S)})
+        model = CoveringScore(D, d, nu, seed=0)
+        model.params.update({"V": V, "beta_tilde": b, "sigma_inv_tril": np.tril(S)})
         X, y, t = self._batch(D, seed=6)
 
         def reference(i, tt):
@@ -349,9 +351,11 @@ class TestExtractSubspace:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("which", ["covering", "mlp"])
-    def test_roundtrip_preserves_scores(self, which):
-        model = _models()[0 if which == "covering" else 1]
+    @pytest.mark.parametrize("cls", _EncoderDecoderScore.__subclasses__(),
+                             ids=lambda cls: cls.variant)
+    def test_roundtrip_preserves_scores(self, cls):
+        model = cls(6, 3, 0.5, seed=1)
+        _perturb(model, np.random.default_rng(3))
         meta, blocks = model.to_blocks()
         clone = model_from_blocks(meta, blocks)
         rng = np.random.default_rng(4)
