@@ -2,10 +2,11 @@
 
 Subcommands: ``pipeline`` (full sweep; a rerun keeps an up-to-date run
 and reuses each seed's trained model while its training inputs are
-unchanged, ``--force`` recomputes everything), ``figures``, ``validate``.
-Relative output directories resolve against the ``RCDIFF_OUT`` environment
-variable when it is set.  Exit codes: 0 success, 2 configuration error,
-3 compute error, 4 validation failure.
+unchanged, ``--force`` recomputes everything, ``--dry-run`` checks the
+config and writes nothing) and ``figures``, both with ``--config`` and
+``--out``, and ``validate``.  Relative output directories resolve against
+the ``RCDIFF_OUT`` environment variable when it is set.  Exit codes:
+0 success, 2 configuration error, 3 compute error, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import io
 from .config import RunConfig, describe_schema, load_config
 from .errors import ConfigError, RcdiffError
 from .figures import emit_figures
@@ -39,16 +39,7 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
 def cmd_pipeline(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args.out)
     if args.dry_run:
-        # A dry run must not clobber the record of a real run: the next
-        # pipeline call would no longer find it up to date.
-        if (out / "manifest.json").exists():
-            print(f"dry run: config valid, kept existing {out}/manifest.json")
-            return EXIT_OK
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
-        manifest.data["dry_run"] = True
-        manifest.write(out / "manifest.json", complete=False)
-        print(f"dry run: config valid, manifest written to {out}/manifest.json")
+        print(f"dry run: config valid, output directory {out}")
         return EXIT_OK
     run_pipeline(cfg, out, force=args.force, log=print)
     return EXIT_OK
@@ -87,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("pipeline", cmd_pipeline), ("figures", cmd_figures),
                      ("validate", cmd_validate)]:
         p = sub.add_parser(name)
-        p.add_argument("--config", metavar="PATH", help="config file (defaults apply)")
-        p.add_argument("--out", metavar="DIR", help="output directory override")
+        if name != "validate":
+            p.add_argument("--config", metavar="PATH", help="config file (defaults apply)")
+            p.add_argument("--out", metavar="DIR", help="output directory override")
         if name == "pipeline":
             p.add_argument("--dry-run", action="store_true",
-                           help="validate config and write manifest only")
+                           help="check the config and print the output directory only")
             p.add_argument("--force", action="store_true",
                            help="recompute everything: ignore an up-to-date "
                                 "manifest and retrain every model")
@@ -105,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(getattr(args, "config", None))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -63,7 +63,6 @@ SCHEMA = {
     "sweep.a": (_parse_float_list, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0], "target values"),
     "sweep.seeds": (_parse_int_list, [0, 1, 2, 3, 4], "root seeds"),
     "metrics.n_ref": (int, 20000, "reference draws for the decomposition"),
-    "metrics.histogram_bins": (int, 50, "reward histogram bins"),
     "out.dir": (str, "runs/default", "output directory"),
 }
 
@@ -117,8 +116,7 @@ class RunConfig:
                 raise ConfigError("world.sigma_diag length must equal world.d")
             if min(v["world.sigma_diag"]) <= 0 or max(v["world.sigma_diag"]) > 1:
                 raise ConfigError("world.sigma_diag entries must lie in (0, 1]")
-        for key in ("data.n1", "data.n2", "sample.n", "metrics.n_ref",
-                    "metrics.histogram_bins"):
+        for key in ("data.n1", "data.n2", "sample.n", "metrics.n_ref"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
         if v["world.offsupport_coeff"] < 0:

@@ -4,7 +4,8 @@ Aggregates the per-cell metrics of a pipeline run into per-target curves
 (mean with an error bar of twice the standard deviation over seeds) for the
 average reward, the distribution-shift surrogate, and the off-support
 deviation, plus pooled reward histograms per target value
-(``metrics.histogram_bins`` shared uniform bins over the pooled sweep range).
+(``metrics.HISTOGRAM_BINS`` shared uniform bins over the pooled sweep range).
+It reads ``metrics.csv`` and each seed's ``world.rctb`` and samples only.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import RcdiffError, ValidationError
-from .pipeline import _part, _read_manifest, read_metrics_csv
+from .errors import RcdiffError
+from .metrics import HISTOGRAM_BINS
+from .pipeline import read_metrics_csv
 from .svgplot import Series, render_line_plot
 from .world import true_reward
 
@@ -54,12 +56,7 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
         raise RcdiffError(
             f"{csv_path} not found: run the 'pipeline' command for this config first"
         )
-    # Both inputs are checked before anything is written.
-    rows = read_metrics_csv(csv_path)
-    bins = _part(_read_manifest(run_dir), "config").get("metrics.histogram_bins")
-    if bins is None:
-        raise ValidationError(f"{run_dir / 'manifest.json'}: no config with "
-                              "metrics.histogram_bins")
+    rows = read_metrics_csv(csv_path)  # checked before anything is written
     out = run_dir / "figures"
     out.mkdir(parents=True, exist_ok=True)
     curves = aggregate_curves(rows)
@@ -81,11 +78,11 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
         )
         log(f"wrote curve_{column}.csv/.svg")
 
-    _emit_histograms(run_dir, out, rows, bins, log)
+    _emit_histograms(run_dir, out, rows, log)
     return out
 
 
-def _emit_histograms(run_dir, out, rows, bins, log) -> None:
+def _emit_histograms(run_dir, out, rows, log) -> None:
     a_values = sorted({row["a"] for row in rows})
     worlds = {seed: io.load_world(run_dir / f"seed_{seed}" / "world.rctb")
               for seed in sorted({row["seed"] for row in rows})}
@@ -99,7 +96,7 @@ def _emit_histograms(run_dir, out, rows, bins, log) -> None:
     hi = max(float(v.max()) for v in rewards.values())
     series = []
     for a in a_values:
-        counts, edges = np.histogram(rewards[a], bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(rewards[a], bins=HISTOGRAM_BINS, range=(lo, hi))
         path = out / f"hist_a{io.a_tag(a)}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -31,6 +31,8 @@ from .oracle import (
 from .regression import RidgeEstimate
 from .world import SubspaceWorld, _check_orthonormal, decompose, true_reward
 
+HISTOGRAM_BINS = 50  # of the record's reward histogram and of figures/hist_a*.csv
+
 
 def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
     """Squared Frobenius distance between the two column-span projectors."""
@@ -131,7 +133,7 @@ def moment_discrepancy(X: np.ndarray, law: tuple) -> tuple[float, float]:
     return mean_gap, cov_gap
 
 
-def reward_histogram(X: np.ndarray, world: SubspaceWorld, bins: int = 50) -> tuple:
+def reward_histogram(X: np.ndarray, world: SubspaceWorld, bins: int = HISTOGRAM_BINS) -> tuple:
     """``(counts, edges)`` of the realized rewards."""
     if bins < 1:
         raise ValidationError("bins must be at least 1")
@@ -152,7 +154,6 @@ def build_metrics_report(
     *,
     t0: float,
     n_ref: int = 20000,
-    bins: int = 50,
     seed,
 ) -> dict:
     """Evaluate the (n, D) points ``X`` generated at target ``a`` and
@@ -169,7 +170,7 @@ def build_metrics_report(
     dec = subopt_decomposition(X, world, est, oracle, a, n_ref, seed=seed)
     law = noised_conditional_law(oracle, a, t0)
     mean_gap, cov_gap = moment_discrepancy(X, law)
-    counts, edges = reward_histogram(X, world, bins=bins)
+    counts, edges = reward_histogram(X, world)
     record = {
         "a": a,
         "n": X.shape[0],

@@ -10,20 +10,20 @@ a pure function of the resolved configuration.
 
 Training is the one stage kept between runs: a rerun, after a failed run
 or a change to keys outside ``MODEL_KEYS`` (``sweep.a``, ``sample.*``,
-``metrics.*``, ``schedule.eta``), loads each seed's ``score_model.rctb``
+``metrics.n_ref``, ``schedule.eta``), loads each seed's ``score_model.rctb``
 instead of training again when the last run's training record of that
-seed still matches it (see ``_run_seed``), and writes the bytes a
-``force`` run writes.
+seed still matches it and the file loads (see ``_run_seed``), and writes
+the bytes a ``force`` run writes.
 
 Each start reads ``manifest.json`` once (``_read_manifest``), or not at
-all under ``force``; that one dict answers whether the run is up to date
-and holds the training records.  The manifest keeps no copy of a fact the
-run holds elsewhere: the oracle of a seed is ``cfg.nu`` of its config and
-``A^T theta_hat`` from ``world.rctb`` and ``ridge.rctb``.  Nor does a cell's
-record: the points of the i-th target of ``sweep.a`` follow the stream
-``derive(seed, SEED_SAMPLE, i)``, and the score is the seed's
-``score_model.rctb``, whose sha256 is in its training record, or the
-oracle's under ``score.variant = oracle``.
+all under ``force``, and ``run_pipeline`` alone writes it; that one dict
+answers whether the run is up to date and holds the training records.
+The manifest keeps no copy of a fact the run holds elsewhere: the oracle of
+a seed is ``cfg.nu`` of its config and ``A^T theta_hat`` from ``world.rctb``
+and ``ridge.rctb``.  Nor does a cell's record: the points of the i-th
+target of ``sweep.a`` follow the stream ``derive(seed, SEED_SAMPLE, i)``,
+and the score is the seed's ``score_model.rctb``, whose sha256 is in its
+training record, or the oracle's under ``score.variant = oracle``.
 
 Artifacts under the output directory::
 
@@ -167,7 +167,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     ``score_model.rctb`` is loaded when ``previous``, the last run's training
     record of this seed, holds this model's key (the seed and every config
     value under ``MODEL_KEYS``) and the file's sha256, and is trained on the
-    curated labels and saved when it does not.
+    curated labels and saved when it does not or the file fails to load.
     """
     sdir = out / f"seed_{seed}"
 
@@ -211,11 +211,15 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         key = io.sha256_text(json.dumps([seed, {
             k: v for k, v in cfg.values.items() if k.startswith(MODEL_KEYS)}], sort_keys=True))
         # The file is hashed once: a retrain re-adds it under its new sha256.
+        score = None
         if (previous.get("key") == key and path.is_file()
                 and manifest.add_file(out, path) == previous.get("sha256")):
-            score, record = io.load_model(path), dict(previous)
-            log(f"seed {seed}: reusing score_model.rctb")
-        else:
+            try:
+                score, record = io.load_model(path), dict(previous)
+                log(f"seed {seed}: reusing score_model.rctb")
+            except ValidationError as exc:  # e.g. written in an older layout
+                log(f"seed {seed}: retraining, {exc}")
+        if score is None:
             curated = timed("pseudo", lambda: pseudo_label(
                 unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
             ))
@@ -252,8 +256,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         manifest.add_file(out, io.save_samples(sdir / f"samples_a{tag}", X))
         record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
             X, a, world, est, oracle, V, t0=cfg["schedule.t0"],
-            n_ref=cfg["metrics.n_ref"], bins=cfg["metrics.histogram_bins"],
-            seed=derive(seed, SEED_METRICS, i),
+            n_ref=cfg["metrics.n_ref"], seed=derive(seed, SEED_METRICS, i),
         ))
         write(io.write_json, f"metrics_a{tag}.json", record)
         row = {col: seed if key is None else record[key] for col, key in CSV_COLUMNS.items()}

@@ -6,6 +6,7 @@ import pytest
 
 from rcdiff import io
 from rcdiff.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from rcdiff.metrics import HISTOGRAM_BINS
 from rcdiff.validate import CHECKS
 
 SMOKE = """
@@ -64,21 +65,23 @@ class TestPipelineCommand:
         for rel in ("seed_0/samples_a2.bin", "seed_0/metrics_a2.json"):
             assert (out / rel).read_bytes() == (out.parent / "run2" / rel).read_bytes()
 
-    def test_dry_run_touches_only_manifest(self, smoke_cfg):
+    def test_dry_run_writes_nothing(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg
         assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == EXIT_OK
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-        manifest = io.read_json(out / "manifest.json")
-        assert manifest["dry_run"] is True
-        assert manifest["complete"] is False
+        assert f"output directory {out}" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_dry_run_keeps_finished_run_up_to_date(self, smoke_cfg, capsys):
         cfg, out = smoke_cfg
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
-        manifest = (out / "manifest.json").read_bytes()
+
+        def snapshot():
+            return {p: (p.stat().st_mtime_ns, p.is_file() and p.read_bytes())
+                    for p in [out, *out.rglob("*")]}
+        before = snapshot()
         assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == EXIT_OK
-        assert "kept" in capsys.readouterr().out
-        assert (out / "manifest.json").read_bytes() == manifest
+        assert snapshot() == before
+        capsys.readouterr()
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
         assert "up to date" in capsys.readouterr().out
 
@@ -228,12 +231,13 @@ class TestPipelineCommand:
                          "pseudo_label": 1, "train": 1, "run_backward": 1,
                          "build_metrics_report": 2}
 
-    def test_env_var_out_root(self, smoke_cfg, tmp_path, monkeypatch):
+    def test_env_var_out_root(self, smoke_cfg, tmp_path, monkeypatch, capsys):
         cfg, _ = smoke_cfg
         monkeypatch.setenv("RCDIFF_OUT", str(tmp_path / "rooted"))
         assert main(["pipeline", "--config", str(cfg), "--dry-run",
                      "--out", "rel"]) == EXIT_OK
-        assert (tmp_path / "rooted" / "rel" / "manifest.json").exists()
+        assert f"output directory {tmp_path / 'rooted' / 'rel'}\n" in capsys.readouterr().out
+        assert not (tmp_path / "rooted").exists()
 
 
 class TestFiguresCommand:
@@ -251,19 +255,23 @@ class TestFiguresCommand:
             assert (figs / f"{name}.csv").exists()
             svg = (figs / f"{name}.svg").read_text()
             assert svg.startswith("<svg") and "polyline" in svg
-        assert (figs / "hist_a0.csv").exists()
-        assert (figs / "hist_a2.csv").exists()
+        tables = sorted(figs.glob("hist_a*.csv"))
+        assert [p.name for p in tables] == ["hist_a0.csv", "hist_a2.csv"]
+        for path in tables:
+            assert len(path.read_text().splitlines()) == 1 + HISTOGRAM_BINS  # header + bins
 
-    def test_truncated_manifest_is_compute_error(self, smoke_cfg, capsys):
+    def test_figures_read_no_manifest(self, smoke_cfg):
         cfg, out = smoke_cfg
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+        assert main(["figures", "--config", str(cfg)]) == EXIT_OK
+        figs = {p.name: p.read_bytes() for p in (out / "figures").iterdir()}
         manifest = out / "manifest.json"
-        whole = manifest.read_bytes()
-        # Truncated; not UTF-8; JSON that is not a run's manifest.
-        for raw in (whole[:-3], b"\xff" + whole, b"[]", b"{}"):
-            manifest.write_bytes(raw)
-            assert main(["figures", "--config", str(cfg)]) == EXIT_COMPUTE
-            assert "manifest.json" in capsys.readouterr().err
+        # Truncated, then deleted: figures come from the results alone.
+        for damage in (lambda: manifest.write_bytes(manifest.read_bytes()[:-3]),
+                       manifest.unlink):
+            damage()
+            assert main(["figures", "--config", str(cfg)]) == EXIT_OK
+            assert {p.name: p.read_bytes() for p in (out / "figures").iterdir()} == figs
 
     @pytest.mark.parametrize("corrupt, bad", [
         (lambda text: text[:text.rindex(",")], "line 3"),  # truncated last row
@@ -291,16 +299,6 @@ class TestFiguresCommand:
             rows = list(csv.DictReader(fh))
         assert all(float(r["err"]) == 0.0 for r in rows)
 
-    def test_histograms_use_the_configured_bin_count(self, smoke_cfg):
-        cfg, out = smoke_cfg
-        cfg.write_text(cfg.read_text() + "metrics.histogram_bins = 20\n")
-        assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
-        assert main(["figures", "--config", str(cfg)]) == EXIT_OK
-        tables = sorted((out / "figures").glob("hist_a*.csv"))
-        assert [p.name for p in tables] == ["hist_a0.csv", "hist_a2.csv"]
-        for path in tables:
-            assert len(path.read_text().splitlines()) == 1 + 20  # header + bins
-
 
 class TestValidateCommand:
     def test_single_check_passes(self, capsys):
@@ -314,6 +312,14 @@ class TestValidateCommand:
 
     def test_unknown_check_is_config_error(self):
         assert main(["validate", "--check", "nonsense"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_takes_no_config_or_out(self, flag, capsys):
+        # ``validate`` runs built-in checks; it reads no config and writes no run.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_single_check_is_fast(self):
         import time
@@ -343,8 +349,8 @@ def test_every_config_key_is_a_model_key_or_only_changes_its_use():
     from rcdiff.config import SCHEMA
     from rcdiff.pipeline import MODEL_KEYS
 
-    use_keys = {"sample.n", "sweep.a", "sweep.seeds", "metrics.n_ref",
-                "metrics.histogram_bins", "out.dir", "schedule.eta"}
+    use_keys = {"sample.n", "sweep.a", "sweep.seeds", "metrics.n_ref", "out.dir",
+                "schedule.eta"}
     model_keys = {key for key in SCHEMA if key.startswith(MODEL_KEYS)}
     assert model_keys.isdisjoint(use_keys)
     assert set(SCHEMA) - model_keys == use_keys
@@ -479,6 +485,30 @@ class TestModelReuse:
         assert _pipeline(cfg) == EXIT_OK
         log = capsys.readouterr().out
         assert "seed 0: trained" in log and "reusing" not in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
+
+    def test_model_that_fails_to_load_is_retrained(self, trained, variant, capsys):
+        # As a covering model saved before ``SigmaInv`` was renamed ``sigma_inv_tril``,
+        # with a training record that still matches it.
+        cfg, out = trained
+        model = out / "seed_0" / "score_model.rctb"
+        meta, blocks = io.read_blocks(model)
+        old = "sigma_inv_tril" if variant == "covering" else "V"
+        blocks["SigmaInv"] = blocks.pop(old)
+        io.write_blocks(model, meta, blocks)
+        manifest = io.read_json(out / "manifest.json")
+        manifest["training"]["0"]["sha256"] = io.sha256_file(model)
+        manifest["files"]["seed_0/score_model.rctb"] = io.sha256_file(model)
+        io.write_json(out / "manifest.json", manifest)
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 2", "sweep.a = 0, 3"))
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert f"seed 0: retraining, {model}: missing key {old!r}" in log
+        assert "seed 0: trained" in log and "reusing" not in log
+        cfg.write_text(cfg.read_text().replace("sweep.a = 0, 3", "sweep.a = 3"))
+        assert _pipeline(cfg) == EXIT_OK
+        assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
         assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
         _assert_same_run(out, out.parent / "fresh")
 

@@ -1,5 +1,6 @@
-"""Every definition in the package has a consumer in the package, and
-every module-level import is read by the module that makes it.
+"""Every definition in the package has a consumer in the package, every
+module-level import is read by the module that makes it, and every config
+key is read somewhere besides the schema and its validation.
 
 Definitions are the top-level functions and classes, the methods and
 properties of those classes, dunders excepted, and the fields of its
@@ -108,3 +109,29 @@ def test_every_import_is_used():
                 unused |= {f"{path.stem}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in names}
     assert unused == set()
+
+
+def _key_reads(node) -> set:
+    """String constants under ``node``: the places that may read a config key.
+
+    The ``SCHEMA`` literal names every key and ``RunConfig._validate``
+    checks every key, so neither counts as a read; nor does a bare string
+    statement such as a docstring.
+    """
+    if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SCHEMA"]:
+        return set()
+    if isinstance(node, ast.FunctionDef) and node.name == "_validate":  # RunConfig's
+        return set()
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+        return set()
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set().union(*map(_key_reads, ast.iter_child_nodes(node)))
+
+
+def test_every_config_key_is_read():
+    from rcdiff.config import SCHEMA
+
+    trees, _ = _trees_and_consumed()
+    # A key that nothing reads is a knob that changes nothing but the digest.
+    assert set(SCHEMA) - set().union(*map(_key_reads, trees)) == set()

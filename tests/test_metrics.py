@@ -252,7 +252,7 @@ class TestMetricsReport:
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         X = np.random.default_rng(1).standard_normal((40, 6))
         return build_metrics_report(X, 2.0, w, _unit_est(w), orc, w.A, t0=0.05,
-                                    n_ref=100, bins=4, seed=3)
+                                    n_ref=100, seed=3)
 
     def test_rejects_non_finite(self, monkeypatch):
         monkeypatch.setattr(metrics, "distro_shift_surrogate",
@@ -280,4 +280,4 @@ class TestMetricsReport:
         assert (record["a"], record["n"]) == (2.0, 40)
         assert record["subopt"] == record["a"] - record["avg_reward"]
         assert sum(record["histogram"]["counts"]) == 40
-        assert len(record["histogram"]["edges"]) == 5
+        assert len(record["histogram"]["edges"]) == metrics.HISTOGRAM_BINS + 1
