@@ -18,12 +18,16 @@ the bytes a ``force`` run writes.
 Each start reads ``manifest.json`` once (``_read_manifest``), or not at
 all under ``force``, and ``run_pipeline`` alone writes it; that one dict
 answers whether the run is up to date and holds the training records.
+It records ``sampler.SAMPLER_REVISION``: a finished run whose samples an
+earlier sampler revision wrote is not up to date, so its next start
+samples again and reuses its models.
 The manifest keeps no copy of a fact the run holds elsewhere: the oracle of
 a seed is ``cfg.nu`` of its config and ``A^T theta_hat`` from ``world.rctb``
 and ``ridge.rctb``.  Nor does a cell's record: the points of the i-th
 target of ``sweep.a`` follow the stream ``derive(seed, SEED_SAMPLE, i)``,
-and the score is the seed's ``score_model.rctb``, whose sha256 is in its
-training record, or the oracle's under ``score.variant = oracle``.
+and the score is the span view of the seed's ``score_model.rctb``, whose
+sha256 is in its training record, or the oracle's under
+``score.variant = oracle``.
 
 Artifacts under the output directory::
 
@@ -58,8 +62,8 @@ from .metrics import build_metrics_report
 from .oracle import GaussianDesignOracle, AnalyticScore
 from .regression import fit_ridge, pseudo_label
 from .rng import derive
-from .sampler import run_backward
-from .score_model import CoveringScore, MlpScore, extract_subspace, train
+from .sampler import SAMPLER_REVISION, run_backward
+from .score_model import CoveringScore, MlpScore, train
 from .world import generate_datasets, make_world
 
 # metrics.csv column -> per-cell record key, in header order.  None marks the
@@ -112,11 +116,13 @@ def _part(record: dict, key: str) -> dict:
 
 def is_up_to_date(cfg: RunConfig, out_dir, manifest: dict) -> bool:
     """True when ``manifest``, read from ``out_dir``, records a complete
-    run of this config and every file it lists is hash-clean."""
+    run of this config by this sampler revision and every file it lists is
+    hash-clean."""
     files = manifest.get("files")
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
+        and manifest.get("sampler_revision") == SAMPLER_REVISION
         and isinstance(files, dict)
         and not io.verify_manifest(out_dir, files)
     )
@@ -134,6 +140,7 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
     trained = _part(last, "training")
     out.mkdir(parents=True, exist_ok=True)
     manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
+    manifest.data["sampler_revision"] = SAMPLER_REVISION
     rows = []
     try:
         for seed in cfg["sweep.seeds"]:
@@ -167,7 +174,8 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
     ``score_model.rctb`` is loaded when ``previous``, the last run's training
     record of this seed, holds this model's key (the seed and every config
     value under ``MODEL_KEYS``) and the file's sha256, and is trained on the
-    curated labels and saved when it does not or the file fails to load.
+    curated labels and saved when it does not or the file fails to load;
+    the sampler steps its span view.
     """
     sdir = out / f"seed_{seed}"
 
@@ -241,7 +249,12 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
 
     # Released before sampling, which holds every target's state at once.
     del unlabeled, labeled
-    V = world.A if cfg["score.variant"] == "oracle" else extract_subspace(score)
+    if cfg["score.variant"] == "oracle":
+        V = world.A
+    else:
+        # Sampled on its decoder span, whose basis the metrics use.
+        score = score.span_view()
+        V = score.Q
 
     # Every target of ``sweep.a`` in one timed stage; the i-th target draws
     # noise stream i and metrics stream i.

@@ -20,7 +20,10 @@ parameterizations:
   ``(u, y, t, alpha(t), h(t))``.
 
 The shared base writes the encoder ``u = X V``, the decoder, the loss with
-its gradients (the whole ``V`` gradient included) and the model file once.
+its gradients (the whole ``V`` gradient included) and the model file once,
+and gives each model a span view (``SpanScore``): the same score on the
+d coordinates of the decoder span, which the sampler steps in place of
+all D.
 A variant writes only its head: ``_psi(u, y, t) -> (psi, cache)`` and its
 backward ``_psi_grads(cache, dL/dpsi) -> (grads, dL/du)``, and names the
 constructor arguments besides ``D``, ``d`` and ``nu`` in ``_shape_keys``.
@@ -83,13 +86,21 @@ class _EncoderDecoderScore:
         return s[0] if x.ndim == 1 else s
 
     def _forward(self, X, y, t):
-        V, h = self.params["V"], h_of(t)
-        psi, cache = self._psi(X @ V, y, t)
-        out = psi @ V.T
+        return self._decoded(X, self.params["V"], y, t)
+
+    def _decoded(self, X, W, y, t):
+        """``(psi(X W, y, t) W^T - X) / h(t)`` with the cache of the head."""
+        h = h_of(t)
+        psi, cache = self._psi(X @ W, y, t)
+        out = psi @ W.T
         # In place: a fresh (n, D) temporary costs more than the arithmetic.
         out -= X
         out /= h[..., None]
         return out, (h, psi, cache)
+
+    def span_view(self) -> "SpanScore":
+        """This score on the coordinates of its decoder span; see ``SpanScore``."""
+        return SpanScore(self)
 
     def loss_and_grad(self, X, y, t, eps):
         """Pathwise denoising loss for fixed draws ``(t, eps)``, exact gradients.
@@ -126,6 +137,27 @@ class _EncoderDecoderScore:
                     f"block {name!r} has shape {block.shape}, expected {param.shape}")
             model.params[name] = block
         return model
+
+
+class SpanScore:
+    """An encoder-decoder score on span coordinates ``u = x Q``.
+
+    ``Q`` is the orthonormal decoder basis of ``extract_subspace(model)``
+    and ``V = Q R``, so ``x V = u R`` and the span part of the score is
+    ``s_u(u, y, t) = (psi(u R, y, t) R^T - u) / h(t)``, an (m, d) array.
+    The score declares ``D = d`` and carries ``Q``: ``run_backward`` steps
+    the (m, d) state of such a score and draws the rest of each point off
+    the span (see ``rcdiff.sampler``).
+    """
+
+    def __init__(self, model: _EncoderDecoderScore):
+        self.model = model
+        self.Q = extract_subspace(model)
+        self.R = self.Q.T @ model.params["V"]
+        self.D = model.d
+
+    def __call__(self, u, y, t):
+        return self.model._decoded(u, self.R, y, t)[0]
 
 
 class CoveringScore(_EncoderDecoderScore):

@@ -382,7 +382,8 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
     assert set(manifest["files"]) == expected
     # The oracle's parameters are the config's nu and the stored world and ridge.
     assert set(manifest) == {"config_digest", "config", "format_version", "files",
-                             "timings_s", "complete"} | ({"training"} if model else set())
+                             "sampler_revision", "timings_s", "complete"} | (
+                                 {"training"} if model else set())
     # Pseudo-labels are computed only for a model that is trained.
     assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
     on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
@@ -454,6 +455,24 @@ class TestModelReuse:
         assert _pipeline(cfg) == EXIT_OK
         assert "seed 0: reusing score_model.rctb" in capsys.readouterr().out
         assert sorted(hashed) == sorted(io.read_json(out / "manifest.json")["files"])
+
+    def test_older_sampler_revision_resamples_and_reuses_the_model(self, trained, capsys):
+        # As a finished run of the same config whose samples an earlier
+        # sampler wrote: its manifest has no revision and other sample bytes.
+        cfg, out = trained
+        manifest = io.read_json(out / "manifest.json")
+        del manifest["sampler_revision"]
+        stale = out / "seed_0" / "samples_a0.bin"
+        stale.write_bytes((out / "seed_0" / "samples_a2.bin").read_bytes())
+        manifest["files"]["seed_0/samples_a0.bin"] = io.sha256_file(stale)
+        io.write_json(out / "manifest.json", manifest)
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: reusing score_model.rctb" in log and "up to date" not in log
+        assert _pipeline(cfg) == EXIT_OK
+        assert "up to date" in capsys.readouterr().out
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
 
     def test_eta_change_reuses_the_model(self, trained, capsys):
         # Training draws t on [t0, T]; the sampler's step does not reach it.

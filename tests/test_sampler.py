@@ -10,13 +10,24 @@ from rcdiff.oracle import (
     GaussianDesignOracle,
     noised_conditional_law,
 )
-from rcdiff.sampler import CHUNK_SIZE, backward_steps, run_backward
+from rcdiff.sampler import CHUNK_SIZE, backward_steps, off_span_variance, run_backward
+from rcdiff.score_model import CoveringScore, MlpScore
 from rcdiff.world import make_world
 
 
 def _oracle(D=4, d=2, seed=7, nu=0.5):
     w = make_world(D=D, d=d, seed=seed)
     return GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=nu)
+
+
+def _basis(D, d):
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((D, d)))[0]
+
+
+def _both_paths(D, d):
+    """A score of each sampler path: one stepped on all D coordinates, and a
+    model's span view, whose (m, d) state the sampler lifts to D dimensions."""
+    return AnalyticScore(_oracle(D=D, d=d)), MlpScore(D, d, hidden=(16, 16), seed=4).span_view()
 
 
 class TestBackwardSteps:
@@ -40,12 +51,12 @@ class TestBackwardSteps:
 
 class TestRunBackward:
     def test_zero_steps_returns_standard_normal_init(self):
-        orc = _oracle()
         sched = DiffusionSchedule(terminal_time=5.0, t0=5.0, eta=1.0)
-        [X] = run_backward(AnalyticScore(orc), [3.0], 20_000, sched, seeds=[4])
-        assert np.max(np.abs(X.mean(axis=0))) < 0.03
-        emp = np.cov(X.T, bias=True)
-        assert np.max(np.abs(emp - np.eye(4))) < 0.05
+        for score in _both_paths(4, 2):
+            [X] = run_backward(score, [3.0], 20_000, sched, seeds=[4])
+            assert np.max(np.abs(X.mean(axis=0))) < 0.03
+            emp = np.cov(X.T, bias=True)
+            assert np.max(np.abs(emp - np.eye(4))) < 0.05
 
     def test_bit_identical_determinism(self):
         orc = _oracle()
@@ -127,11 +138,11 @@ class TestRunBackward:
         # The fixed splitting rule makes the first chunk of a larger batch
         # identical to a batch of exactly one chunk: output cannot depend
         # on how chunks are distributed over workers.
-        orc = _oracle()
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        [big] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE + 200, sched, seeds=[5])
-        [small] = run_backward(AnalyticScore(orc), [1.0], CHUNK_SIZE, sched, seeds=[5])
-        assert np.array_equal(big[:CHUNK_SIZE], small)
+        for score in _both_paths(4, 2):
+            [big] = run_backward(score, [1.0], CHUNK_SIZE + 200, sched, seeds=[5])
+            [small] = run_backward(score, [1.0], CHUNK_SIZE, sched, seeds=[5])
+            assert np.array_equal(big[:CHUNK_SIZE], small)
 
     def test_generator_seed_rejected(self):
         orc = _oracle()
@@ -149,28 +160,31 @@ class TestStackedTargets:
     def test_stacked_call_matches_single_target_calls(self):
         # D = 8 packs both chunks of all three targets into one score call,
         # so that call crosses the row boundaries between targets.
-        score = AnalyticScore(_oracle(D=8, d=2))
         targets, seeds = [0.0, 2.0, -1.5], [3, np.random.SeedSequence([4, 20, 1]), 5]
         n = CHUNK_SIZE + 200
-        stacked = run_backward(score, targets, n, self.SCHED, seeds=seeds)
-        assert stacked.shape == (len(targets), n, 8)
-        for a, seed, X in zip(targets, seeds, stacked):
-            [single] = run_backward(score, [a], n, self.SCHED, seeds=[seed])
-            assert X.tobytes() == single.tobytes()
+        for score in _both_paths(8, 2):
+            stacked = run_backward(score, targets, n, self.SCHED, seeds=seeds)
+            assert stacked.shape == (len(targets), n, 8)
+            for a, seed, X in zip(targets, seeds, stacked):
+                [single] = run_backward(score, [a], n, self.SCHED, seeds=[seed])
+                assert X.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("D, calls_per_step", [(8, 1), (64, 6)])
     def test_score_calls_per_step(self, D, calls_per_step):
-        rows = []
-
         class Counting:
             def __call__(self, x, y, t):
                 rows.append(x.shape[0])
                 return -x
 
+        # A span score with d = D / 4 (a basis Q): its calls hold as many
+        # rows as a full one's, since the cap counts D-dimensional points.
+        span = type("CountingSpan", (Counting,), {"D": D // 4, "Q": _basis(D, D // 4)})
         Counting.D = D
-        run_backward(Counting(), [0.0, 1.0, 2.0], 2 * CHUNK_SIZE, self.SCHED, seeds=[0, 1, 2])
-        assert len(rows) == len(backward_steps(self.SCHED)) * calls_per_step
-        assert sum(rows) == len(backward_steps(self.SCHED)) * 6 * CHUNK_SIZE
+        for cls in (Counting, span):
+            rows = []
+            run_backward(cls(), [0.0, 1.0, 2.0], 2 * CHUNK_SIZE, self.SCHED, seeds=[0, 1, 2])
+            assert len(rows) == len(backward_steps(self.SCHED)) * calls_per_step
+            assert sum(rows) == len(backward_steps(self.SCHED)) * 6 * CHUNK_SIZE
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_target(self):
@@ -180,14 +194,66 @@ class TestStackedTargets:
             def __call__(self, x, y, t):
                 return np.where((y == 2.0)[:, None], x * 1e200, -x)
 
-        with pytest.raises(SamplerDivergedError) as err:
-            run_backward(ExplodesAtTwo(), [0.0, 2.0, 4.0], 16, self.SCHED, seeds=[0, 1, 2])
-        # One step to 1e199, the next past the float range.
-        assert err.value.step == 1
-        assert err.value.a == 2.0
-        assert "a=2" in str(err.value)
+        # The same score as a span score on d = 2 coordinates of D = 4.
+        span = type("ExplodesAtTwoSpan", (ExplodesAtTwo,), {"D": 2, "Q": _basis(4, 2)})
+        for cls in (ExplodesAtTwo, span):
+            with pytest.raises(SamplerDivergedError) as err:
+                run_backward(cls(), [0.0, 2.0, 4.0], 16, self.SCHED, seeds=[0, 1, 2])
+            # One step to 1e199, the next past the float range.
+            assert err.value.step == 1
+            assert err.value.a == 2.0
+            assert "a=2" in str(err.value)
 
     @pytest.mark.parametrize("targets, seeds", [([], []), ([0.0, 1.0], [0]), ([0.0], [0, 1])])
     def test_mismatched_or_empty_targets_rejected(self, targets, seeds):
         with pytest.raises(ValidationError):
             run_backward(AnalyticScore(_oracle()), targets, 4, self.SCHED, seeds=seeds)
+
+
+class TestSpanPath:
+    """A span view is stepped on d coordinates and lifted with an exact
+    off-span draw; its points have the law of the same model stepped on
+    all D coordinates."""
+
+    SCHED = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.05)
+    N = 20_000
+
+    @staticmethod
+    def _model(variant):
+        if variant == "mlp":
+            return MlpScore(8, 2, hidden=(16, 16), seed=4)
+        model = CoveringScore(8, 2, nu=0.5, seed=5)
+        model.params["beta_tilde"] = np.array([0.8, -1.1])
+        model.params["sigma_inv_tril"] = np.array([[2.0, 0.0], [0.3, 1.0]])
+        return model
+
+    def _full_chain(self, model):
+        """``model`` stepped on all D coordinates, behind a plain callable."""
+        def full(x, y, t):
+            return model(x, y, t)
+        full.D = 8
+        [X] = run_backward(full, [1.0], self.N, self.SCHED, seeds=[2])
+        return X
+
+    @pytest.mark.parametrize("variant", ["mlp", "covering"])
+    def test_equal_in_law_to_full_chain(self, variant):
+        model = self._model(variant)
+        [span] = run_backward(model.span_view(), [1.0], self.N, self.SCHED, seeds=[1])
+        whole, n = self._full_chain(model), self.N
+        se = np.sqrt((span.var(axis=0) + whole.var(axis=0)) / n)
+        assert np.max(np.abs(span.mean(axis=0) - whole.mean(axis=0)) / se) < 4.0
+        # Each covariance entry is the mean of a per-row product.
+        prods = [np.einsum("ni,nj->nij", X - X.mean(axis=0), X - X.mean(axis=0))
+                 for X in (span, whole)]
+        se = np.sqrt((prods[0].var(axis=0) + prods[1].var(axis=0)) / n)
+        assert np.max(np.abs(prods[0].mean(axis=0) - prods[1].mean(axis=0)) / se) < 4.0
+
+    @pytest.mark.parametrize("variant", ["mlp", "covering"])
+    def test_off_span_variance_of_the_full_chain(self, variant):
+        model = self._model(variant)
+        whole, Q = self._full_chain(model), model.span_view().Q
+        perp = whole - (whole @ Q) @ Q.T
+        per_row = np.sum(perp * perp, axis=1) / (8 - 2)
+        v = off_span_variance(self.SCHED)
+        assert abs(per_row.mean() - v) < 4.0 * per_row.std() / np.sqrt(self.N)
+        assert v < 0.5  # the early stop contracts it well below the start's 1

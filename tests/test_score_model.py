@@ -60,6 +60,17 @@ class TestShapeInvariant:
                 off = resid - Q @ (Q.T @ resid)
                 assert np.linalg.norm(off) < 1e-8
 
+    def test_span_view_is_the_span_part_of_the_score(self):
+        # s(x) Q depends on x only through u = x Q, and the view computes it from u.
+        rng = np.random.default_rng(2)
+        for model in _models():
+            _perturb(model, rng)
+            view = model.span_view()
+            assert view.D == 3 and view.Q.shape == (6, 3)
+            X, y, t = rng.standard_normal((5, 6)), rng.standard_normal(5), rng.uniform(0.1, 4.0, 5)
+            np.testing.assert_allclose(view(X @ view.Q, y, t), model(X, y, t) @ view.Q,
+                                       rtol=1e-10, atol=1e-12)
+
     def test_batch_call_matches_rowwise(self):
         rng = np.random.default_rng(1)
         for model in _models():
