@@ -1,4 +1,4 @@
-"""File formats and run manifests.
+"""File formats, JSON and file hashes.
 
 Two little-endian binary containers cover all numeric artifacts:
 
@@ -9,7 +9,8 @@ Two little-endian binary containers cover all numeric artifacts:
   block: u32 name length, name, u32 rank, u64 dims, float64 data.
 
 JSON artifacts are written with sorted keys and a trailing newline so
-byte-identical reruns are possible; manifests record a sha256 per file.
+byte-identical reruns are possible.  ``rcdiff.pipeline`` builds the run's
+manifest; ``verify_manifest`` checks its table of sha256 per file.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def save_samples(path_prefix, X) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON, hashing, manifests
+# JSON and hashing
 # ---------------------------------------------------------------------------
 
 def write_json(path, obj) -> None:
@@ -252,33 +253,6 @@ def sha256_file(path) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-class ManifestBuilder:
-    """Collects artifact hashes and timings for one run."""
-
-    def __init__(self, config_digest: str, resolved_config: dict):
-        self.data = {
-            "config_digest": config_digest,
-            "config": resolved_config,
-            "format_version": FORMAT_VERSION,
-            "files": {},
-            "timings_s": {},
-            "complete": False,
-        }
-
-    def add_file(self, root, path) -> str:
-        """Record ``path`` under its path relative to ``root``; returns its sha256."""
-        digest = sha256_file(path)
-        self.data["files"][os.path.relpath(path, root)] = digest
-        return digest
-
-    def add_timing(self, name: str, seconds: float) -> None:
-        self.data["timings_s"][name] = round(seconds, 3)
-
-    def write(self, path, complete: bool) -> None:
-        self.data["complete"] = complete
-        write_json(path, self.data)
 
 
 def verify_manifest(root, files: dict) -> list:

@@ -8,16 +8,20 @@ metrics run per cell.  All stage seeds derive from the cell's root
 seed through fixed stage codes (see ``rng.derive``), making every artifact
 a pure function of the resolved configuration.
 
-Training is the one stage kept between runs: a rerun, after a failed run
-or a change to keys outside ``MODEL_KEYS`` (``sweep.a``, ``sample.*``,
-``metrics.n_ref``, ``schedule.eta``), loads each seed's ``score_model.rctb``
-instead of training again when the last run's training record of that
-seed still matches it and the file loads (see ``_run_seed``), and writes
-the bytes a ``force`` run writes.
+Training is the one stage kept between runs: a rerun, after a failed or
+interrupted run or a change to keys outside ``MODEL_KEYS`` (``sweep.a``,
+``sample.*``, ``metrics.n_ref``, ``schedule.eta``), loads each seed's
+``score_model.rctb`` instead of training again when the last run's
+training record of that seed still matches it and the file loads (see
+``_run_seed``), and writes the bytes a ``force`` run writes.
 
 Each start reads ``manifest.json`` once (``_read_manifest``), or not at
-all under ``force``, and ``run_pipeline`` alone writes it; that one dict
-answers whether the run is up to date and holds the training records.
+all under ``force``; that one dict answers whether the run is up to date
+and holds the training records.  ``run_pipeline`` alone builds the next one,
+a plain dict, and writes it on any exit: a run that fails or is
+interrupted (Ctrl-C) leaves it with ``complete`` false, the training record
+of each model it trained or reused and, for every other seed, the last
+run's record, so the next start can reuse all of those models.
 It records ``sampler.SAMPLER_REVISION``: a finished run whose samples an
 earlier sampler revision wrote is not up to date, so its next start
 samples again and reuses its models.
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from pathlib import Path
 
@@ -139,30 +144,40 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
         return out
     trained = _part(last, "training")
     out.mkdir(parents=True, exist_ok=True)
-    manifest = io.ManifestBuilder(cfg.digest(), cfg.values)
-    manifest.data["sampler_revision"] = SAMPLER_REVISION
-    rows = []
+    manifest = {"config_digest": cfg.digest(), "config": cfg.values,
+                "sampler_revision": SAMPLER_REVISION, "files": {}, "timings_s": {}}
+    rows, complete = [], False
     try:
         for seed in cfg["sweep.seeds"]:
             rows.extend(_run_seed(cfg, seed, out, manifest, _part(trained, str(seed)), log))
         csv_path = out / "metrics.csv"
         _write_csv(csv_path, rows)
-        manifest.add_file(out, csv_path)
-    except Exception as exc:
+        _add_file(manifest, out, csv_path)
+        complete = True
+    except BaseException as exc:
         # Each seed this run did not record keeps the last run's record, so
         # the next run can still reuse its model after the key and sha256 check.
         for seed, record in trained.items():
-            manifest.data.setdefault("training", {}).setdefault(seed, record)
-        manifest.write(out / "manifest.json", complete=False)
-        if isinstance(exc, PipelineStageError):
+            manifest.setdefault("training", {}).setdefault(seed, record)
+        # An interrupt such as Ctrl-C leaves unwrapped.
+        if isinstance(exc, PipelineStageError) or not isinstance(exc, Exception):
             raise
         raise PipelineStageError("pipeline", exc) from exc
-    manifest.write(out / "manifest.json", complete=True)
+    finally:
+        manifest["complete"] = complete
+        io.write_json(out / "manifest.json", manifest)
     log(f"wrote {len(rows)} cells to {out}")
     return out
 
 
-def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder,
+def _add_file(manifest: dict, out: Path, path) -> str:
+    """Record ``path``'s sha256 under its path relative to ``out``; returns it."""
+    digest = io.sha256_file(path)
+    manifest["files"][os.path.relpath(path, out)] = digest
+    return digest
+
+
+def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
               previous: dict, log) -> list:
     """Run the stages of one seed in order, writing their artifacts under
     ``out/seed_<seed>``; returns the seed's ``metrics.csv`` rows.
@@ -186,12 +201,12 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             result = fn()
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
-        manifest.add_timing(name, time.perf_counter() - start)
+        manifest["timings_s"][name] = round(time.perf_counter() - start, 3)
         return result
 
     def write(writer, name, *args) -> None:
         writer(sdir / name, *args)
-        manifest.add_file(out, sdir / name)
+        _add_file(manifest, out, sdir / name)
 
     sdir.mkdir(parents=True, exist_ok=True)
     world = timed("world", lambda: make_world(
@@ -221,7 +236,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
         # The file is hashed once: a retrain re-adds it under its new sha256.
         score = None
         if (previous.get("key") == key and path.is_file()
-                and manifest.add_file(out, path) == previous.get("sha256")):
+                and _add_file(manifest, out, path) == previous.get("sha256")):
             try:
                 score, record = io.load_model(path), dict(previous)
                 log(f"seed {seed}: reusing score_model.rctb")
@@ -242,31 +257,29 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: io.ManifestBuilder
             del curated
             io.save_model(path, score)
             record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
-                      "key": key, "sha256": manifest.add_file(out, path)}
+                      "key": key, "sha256": _add_file(manifest, out, path)}
             log(f"seed {seed}: trained "
                 f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
-        manifest.data.setdefault("training", {})[str(seed)] = record
+        manifest.setdefault("training", {})[str(seed)] = record
 
     # Released before sampling, which holds every target's state at once.
     del unlabeled, labeled
-    if cfg["score.variant"] == "oracle":
-        V = world.A
-    else:
-        # Sampled on its decoder span, whose basis the metrics use.
-        score = score.span_view()
-        V = score.Q
 
     # Every target of ``sweep.a`` in one timed stage; the i-th target draws
     # noise stream i and metrics stream i.
     targets = cfg["sweep.a"]
     seeds = [derive(seed, SEED_SAMPLE, i) for i in range(len(targets))]
-    samples = timed("sample", lambda: run_backward(
-        score, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds,
-    ))
+
+    def sample():
+        # A trained model is sampled on its decoder span, whose basis the metrics use.
+        view = score if cfg["score.variant"] == "oracle" else score.span_view()
+        return view, run_backward(view, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds)
+    view, samples = timed("sample", sample)
+    V = world.A if cfg["score.variant"] == "oracle" else view.Q
     rows = []
     for i, (a, X) in enumerate(zip(targets, samples)):
         tag = io.a_tag(a)
-        manifest.add_file(out, io.save_samples(sdir / f"samples_a{tag}", X))
+        _add_file(manifest, out, io.save_samples(sdir / f"samples_a{tag}", X))
         record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
             X, a, world, est, oracle, V, t0=cfg["schedule.t0"],
             n_ref=cfg["metrics.n_ref"], seed=derive(seed, SEED_METRICS, i),

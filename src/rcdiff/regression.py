@@ -4,12 +4,13 @@ The reward parameter is fit by ridge regression,
 ``theta = (X^T X + lambda I)^{-1} X^T y`` (SPD solve, never an explicit
 inverse), the unlabeled pool is annotated with ``theta^T x + N(0, nu^2)``,
 and the off-policy coverage quantity ``tr(Sigma_lambda^{-1} Sigma_target)``
-is available both as a full ambient-dimension solve and in the reduced
-latent-dimension form
+is available both as a full ambient-dimension solve (``coverage_trace``)
+and in the reduced latent-dimension form (``coverage_trace_factored``)
 
     tr((lam I_D + A S1 A^T)^{-1} A S2 A^T) = tr((lam I_d + S1)^{-1} S2),
 
-which holds exactly for any orthonormal-column ``A`` and PSD ``S1, S2``.
+which holds exactly for any orthonormal-column ``A`` and PSD ``S1, S2``;
+``validate.check_trace_identity`` (criterion 4) checks it on those two.
 """
 
 from __future__ import annotations
@@ -122,27 +123,16 @@ def coverage_trace(est: RidgeEstimate, sigma_pa: np.ndarray) -> float:
     return float(np.trace(linalg.solve(est.sigma_hat_lambda, S, assume_a="pos")))
 
 
-def projected_trace_full(lam: float, A: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> float:
-    """Left side of the trace identity, evaluated in the ambient dimension."""
-    M = lam * np.eye(A.shape[0]) + A @ s1 @ A.T
-    return float(np.trace(linalg.solve(M, A @ s2 @ A.T, assume_a="pos")))
-
-
-def projected_trace_reduced(lam: float, s1: np.ndarray, s2: np.ndarray) -> float:
-    """Right side of the trace identity, evaluated in the latent dimension."""
-    M = lam * np.eye(s1.shape[0]) + s1
-    return float(np.trace(linalg.solve(M, s2, assume_a="pos")))
-
-
 def coverage_trace_factored(est: RidgeEstimate, A: np.ndarray, sigma2: np.ndarray) -> float:
     """Coverage trace when the target covariance is ``A sigma2 A^T``.
 
-    Uses the reduced latent-dimension form; agrees with ``coverage_trace``
-    whenever the regression design itself lies in the span of ``A``.
+    Uses the reduced latent-dimension form, ``A^T V_lambda A = lam I_d + S1``
+    for orthonormal-column ``A``; agrees with ``coverage_trace`` whenever
+    the regression design itself lies in the span of ``A``.
     """
     S2 = _check_psd(sigma2, "sigma2")
-    gram_latent = A.T @ (est.v_lambda - est.lam * np.eye(est.D)) @ A
-    return est.n2 * projected_trace_reduced(est.lam, gram_latent, S2)
+    M = A.T @ est.v_lambda @ A
+    return est.n2 * float(np.trace(linalg.solve(M, S2, assume_a="pos")))
 
 
 def target_covariance(

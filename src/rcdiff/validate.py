@@ -28,7 +28,7 @@ from .oracle import (
     noised_conditional_law,
     score_via_quadrature_fd,
 )
-from .regression import projected_trace_full, projected_trace_reduced
+from .regression import RidgeEstimate, coverage_trace, coverage_trace_factored
 from .sampler import run_backward
 from .score_model import (
     CoveringScore,
@@ -61,9 +61,10 @@ def check_schedule_identity() -> float:
 
 
 def check_trace_identity() -> float:
-    """Worst relative gap between the full and the reduced projected trace."""
+    """Worst relative gap between ``coverage_trace`` and ``coverage_trace_factored``
+    over 100 ridge estimates of Gram matrix ``A s1 A^T``, each against ``A s2 A^T``."""
     rng = np.random.default_rng(0)
-    d, D = 5, 12
+    d, D, n2 = 5, 12, 10
     worst = 0.0
     for _ in range(100):
         lam = float(rng.uniform(0.1, 3.0))
@@ -71,8 +72,10 @@ def check_trace_identity() -> float:
         A = np.linalg.qr(G)[0]
         s1 = _random_spd(rng, d)
         s2 = _random_spd(rng, d)
-        full = projected_trace_full(lam, A, s1, s2)
-        red = projected_trace_reduced(lam, s1, s2)
+        est = RidgeEstimate(theta_hat=np.zeros(D), lam=lam, n2=n2,
+                            sigma_hat_lambda=(lam * np.eye(D) + A @ s1 @ A.T) / n2)
+        full = coverage_trace(est, A @ s2 @ A.T)
+        red = coverage_trace_factored(est, A, s2)
         worst = max(worst, abs(full - red) / abs(red))
     return worst
 

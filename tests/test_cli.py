@@ -158,6 +158,19 @@ class TestPipelineCommand:
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is False
 
+    def test_failed_span_view_names_its_seed(self, smoke_cfg, monkeypatch, capsys):
+        from rcdiff import score_model
+        from rcdiff.errors import ExtractionError
+
+        def rank_deficient(model):
+            raise ExtractionError("decoder matrix is rank deficient")
+        monkeypatch.setattr(score_model, "extract_subspace", rank_deficient)
+        cfg, out = smoke_cfg
+        assert main(["pipeline", "--config", str(cfg)]) == EXIT_COMPUTE
+        assert ("compute error in stage 'seed0.sample': decoder matrix is rank deficient"
+                in capsys.readouterr().err)
+        assert io.read_json(out / "manifest.json")["complete"] is False
+
     @pytest.mark.parametrize("raw", ["[]", '{"training": []}', '{"training": {"0": []}}'])
     def test_manifest_of_the_wrong_shape_is_recomputed(self, smoke_cfg, raw, capsys):
         cfg, out = smoke_cfg
@@ -381,7 +394,7 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
     manifest = io.read_json(out / "manifest.json")
     assert set(manifest["files"]) == expected
     # The oracle's parameters are the config's nu and the stored world and ridge.
-    assert set(manifest) == {"config_digest", "config", "format_version", "files",
+    assert set(manifest) == {"config_digest", "config", "files",
                              "sampler_revision", "timings_s", "complete"} | (
                                  {"training"} if model else set())
     # Pseudo-labels are computed only for a model that is trained.
@@ -543,6 +556,33 @@ class TestModelReuse:
         assert _pipeline(cfg) == EXIT_OK
         log = capsys.readouterr().out
         assert "seed 0: reusing" in log and "seed 1: trained" in log
+        assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+        _assert_same_run(out, out.parent / "fresh")
+
+    def test_interrupted_run_keeps_the_models_it_trained(self, smoke_cfg, variant,
+                                                         monkeypatch, capsys):
+        from rcdiff import pipeline
+
+        cfg, out = smoke_cfg
+        cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1")
+                       + f"score.variant = {variant}\n")
+        train, calls = pipeline.train, []
+
+        def interrupted_at_second_seed(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return train(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "train", interrupted_at_second_seed)
+        with pytest.raises(KeyboardInterrupt):
+            _pipeline(cfg)
+        manifest = io.read_json(out / "manifest.json")
+        assert manifest["complete"] is False and set(manifest["training"]) == {"0"}
+        monkeypatch.setattr(pipeline, "train", train)
+        capsys.readouterr()
+        assert _pipeline(cfg) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "seed 0: reusing score_model.rctb" in log and "seed 1: trained" in log
         assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
         _assert_same_run(out, out.parent / "fresh")
 

@@ -25,9 +25,7 @@ SRC = Path(rcdiff.__file__).resolve().parent
 # Carlo metric it predicts.
 KEPT_REFERENCES = {
     "e1_exact_gaussian": "folded-normal closed form of the Monte Carlo e1",
-    "coverage_trace_factored": "the theory's shift term tr(Sigma_lambda^-1 Sigma_Pa)",
-    "target_covariance": "Sigma_Pa, the input of that shift term",
-    "coverage_trace": "the full D x D solve that coverage_trace_factored is checked against",
+    "target_covariance": "Sigma_Pa, the input of the shift term tr(Sigma_lambda^-1 Sigma_Pa)",
 }
 
 # Dataclass fields kept without a package reader: tests bound a Monte Carlo
