@@ -133,11 +133,9 @@ def moment_discrepancy(X: np.ndarray, law: tuple) -> tuple[float, float]:
     return mean_gap, cov_gap
 
 
-def reward_histogram(X: np.ndarray, world: SubspaceWorld, bins: int = HISTOGRAM_BINS) -> tuple:
-    """``(counts, edges)`` of the realized rewards."""
-    if bins < 1:
-        raise ValidationError("bins must be at least 1")
-    return np.histogram(true_reward(world, X), bins=bins)
+def reward_histogram(X: np.ndarray, world: SubspaceWorld) -> tuple:
+    """``(counts, edges)`` of the realized rewards in ``HISTOGRAM_BINS`` bins."""
+    return np.histogram(true_reward(world, X), bins=HISTOGRAM_BINS)
 
 
 # ---------------------------------------------------------------------------

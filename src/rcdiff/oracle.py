@@ -24,7 +24,7 @@ density, so it can catch errors in the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -188,9 +188,13 @@ def distro_shift_surrogate(oracle: GaussianDesignOracle, a: float) -> float:
 
 @dataclass(frozen=True)
 class AnalyticScore:
-    """Callable adapter exposing the closed-form score to sampler and losses."""
+    """Callable adapter exposing the closed-form score to sampler and losses.
+
+    ``Q`` is set on a span view only (see ``span_view``).
+    """
 
     oracle: GaussianDesignOracle
+    Q: np.ndarray | None = None
 
     def __call__(self, x, y, t):
         return analytic_score(self.oracle, x, y, t)
@@ -198,6 +202,15 @@ class AnalyticScore:
     @property
     def D(self) -> int:
         return self.oracle.world.D
+
+    def span_view(self) -> "AnalyticScore":
+        """This score on span coordinates ``u = x A``, where its span part is
+        ``(a/h) B_t (a u + (h/nu^2) y beta) - u/h``: the closed form of the
+        same oracle with ``A`` replaced by ``I_d``, so ``D = d``, carrying
+        ``Q = A`` (``run_backward`` steps it as it steps a ``SpanScore``)."""
+        world = self.oracle.world
+        flat = replace(self.oracle, world=replace(world, A=np.eye(world.d)))
+        return AnalyticScore(flat, Q=world.A)
 
 
 # ---------------------------------------------------------------------------

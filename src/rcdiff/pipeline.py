@@ -30,7 +30,7 @@ a seed is ``cfg.nu`` of its config and ``A^T theta_hat`` from ``world.rctb``
 and ``ridge.rctb``.  Nor does a cell's record: the points of the i-th
 target of ``sweep.a`` follow the stream ``derive(seed, SEED_SAMPLE, i)``,
 and the score is the span view of the seed's ``score_model.rctb``, whose
-sha256 is in its training record, or the oracle's under
+sha256 is in its training record, or of the oracle under
 ``score.variant = oracle``.
 
 Artifacts under the output directory::
@@ -58,6 +58,7 @@ import csv
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import io
@@ -184,45 +185,47 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
 
     ``manifest`` gets the stage timings, the training record and the
     sha256 of each file a stage writes or reuses, so it lists no stale
-    file of an earlier run.  Under ``score.variant = oracle`` the
-    sampler follows the oracle's closed-form score.  Otherwise the seed's
-    ``score_model.rctb`` is loaded when ``previous``, the last run's training
-    record of this seed, holds this model's key (the seed and every config
-    value under ``MODEL_KEYS``) and the file's sha256, and is trained on the
-    curated labels and saved when it does not or the file fails to load;
-    the sampler steps its span view.
+    file of an earlier run.  Each file is written and hashed inside the
+    stage that made it, so a stage's timing includes its I/O and a failed
+    write names its stage.  Under ``score.variant = oracle`` the score is
+    the oracle's closed form.  Otherwise the seed's ``score_model.rctb`` is
+    loaded, as its ``train`` stage, when ``previous``, the last run's
+    training record of this seed, holds this model's key (the seed and
+    every config value under ``MODEL_KEYS``) and the file's sha256, and is
+    trained on the curated labels and saved when it does not or the file
+    fails to load.  Either score is sampled through its span view, whose
+    basis ``Q`` the metrics use.
     """
     sdir = out / f"seed_{seed}"
 
-    def timed(name, fn):
+    @contextmanager
+    def stage(name):
         name = f"seed{seed}.{name}"
         start = time.perf_counter()
         try:
-            result = fn()
+            yield
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
         manifest["timings_s"][name] = round(time.perf_counter() - start, 3)
-        return result
 
     def write(writer, name, *args) -> None:
         writer(sdir / name, *args)
         _add_file(manifest, out, sdir / name)
 
-    sdir.mkdir(parents=True, exist_ok=True)
-    world = timed("world", lambda: make_world(
-        cfg["world.D"], cfg["world.d"], cfg.sigma,
-        cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
-        seed=derive(seed, SEED_WORLD),
-    ))
-    write(io.save_world, "world.rctb", world)
-    unlabeled, labeled = timed("data", lambda: generate_datasets(
-        world, cfg["data.n1"], cfg["data.n2"], cfg["data.noise_sigma"],
-        seed=derive(seed, SEED_DATA),
-    ))
-    write(io.export_csv, "labeled.csv", labeled.X, labeled.y)
-
-    est = timed("ridge", lambda: fit_ridge(labeled, cfg["reward.lambda"]))
-    write(io.save_ridge, "ridge.rctb", est)
+    with stage("world"):
+        world = make_world(cfg["world.D"], cfg["world.d"], cfg.sigma,
+                           cfg["world.offsupport_coeff"], cfg["world.offsupport_sign"],
+                           seed=derive(seed, SEED_WORLD))
+        sdir.mkdir(parents=True, exist_ok=True)
+        write(io.save_world, "world.rctb", world)
+    with stage("data"):
+        unlabeled, labeled = generate_datasets(world, cfg["data.n1"], cfg["data.n2"],
+                                               cfg["data.noise_sigma"],
+                                               seed=derive(seed, SEED_DATA))
+        write(io.export_csv, "labeled.csv", labeled.X, labeled.y)
+    with stage("ridge"):
+        est = fit_ridge(labeled, cfg["reward.lambda"])
+        write(io.save_ridge, "ridge.rctb", est)
 
     # The closed-form reference for the fitted reward.
     oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=cfg.nu)
@@ -235,29 +238,28 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
             k: v for k, v in cfg.values.items() if k.startswith(MODEL_KEYS)}], sort_keys=True))
         # The file is hashed once: a retrain re-adds it under its new sha256.
         score = None
-        if (previous.get("key") == key and path.is_file()
-                and _add_file(manifest, out, path) == previous.get("sha256")):
-            try:
-                score, record = io.load_model(path), dict(previous)
-                log(f"seed {seed}: reusing score_model.rctb")
-            except ValidationError as exc:  # e.g. written in an older layout
-                log(f"seed {seed}: retraining, {exc}")
+        if previous.get("key") == key and path.is_file():
+            with stage("train"):
+                if _add_file(manifest, out, path) == previous.get("sha256"):
+                    try:
+                        score, record = io.load_model(path), dict(previous)
+                        log(f"seed {seed}: reusing score_model.rctb")
+                    except ValidationError as exc:  # e.g. written in an older layout
+                        log(f"seed {seed}: retraining, {exc}")
         if score is None:
-            curated = timed("pseudo", lambda: pseudo_label(
-                unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO),
-            ))
-            D, d, init = cfg["world.D"], cfg["world.d"], derive(seed, SEED_MODEL)
-            if cfg["score.variant"] == "covering":
-                score = CoveringScore(D, d, cfg.nu, seed=init)
-            else:
-                score = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
-            result = timed("train", lambda: train(
-                score, curated, cfg.train_config(seed), cfg.schedule(),
-            ))
+            with stage("pseudo"):
+                curated = pseudo_label(unlabeled, est, cfg.nu, seed=derive(seed, SEED_PSEUDO))
+            with stage("train"):
+                D, d, init = cfg["world.D"], cfg["world.d"], derive(seed, SEED_MODEL)
+                if cfg["score.variant"] == "covering":
+                    score = CoveringScore(D, d, cfg.nu, seed=init)
+                else:
+                    score = MlpScore(D, d, cfg.nu, hidden=tuple(cfg["score.hidden"]), seed=init)
+                result = train(score, curated, cfg.train_config(seed), cfg.schedule())
+                io.save_model(path, score)
+                record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
+                          "key": key, "sha256": _add_file(manifest, out, path)}
             del curated
-            io.save_model(path, score)
-            record = {"loss_trace": result.loss_trace, "val_trace": result.val_trace,
-                      "key": key, "sha256": _add_file(manifest, out, path)}
             log(f"seed {seed}: trained "
                 f"({result.val_trace[0]:.3f} -> {result.val_trace[-1]:.3f})")
         manifest.setdefault("training", {})[str(seed)] = record
@@ -268,23 +270,20 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
     # Every target of ``sweep.a`` in one timed stage; the i-th target draws
     # noise stream i and metrics stream i.
     targets = cfg["sweep.a"]
+    tags = [io.a_tag(a) for a in targets]
     seeds = [derive(seed, SEED_SAMPLE, i) for i in range(len(targets))]
-
-    def sample():
-        # A trained model is sampled on its decoder span, whose basis the metrics use.
-        view = score if cfg["score.variant"] == "oracle" else score.span_view()
-        return view, run_backward(view, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds)
-    view, samples = timed("sample", sample)
-    V = world.A if cfg["score.variant"] == "oracle" else view.Q
+    with stage("sample"):
+        view = score.span_view()
+        samples = run_backward(view, targets, cfg["sample.n"], cfg.schedule(), seeds=seeds)
+        for tag, X in zip(tags, samples):
+            _add_file(manifest, out, io.save_samples(sdir / f"samples_a{tag}", X))
     rows = []
-    for i, (a, X) in enumerate(zip(targets, samples)):
-        tag = io.a_tag(a)
-        _add_file(manifest, out, io.save_samples(sdir / f"samples_a{tag}", X))
-        record = timed(f"metrics.a{tag}", lambda: build_metrics_report(
-            X, a, world, est, oracle, V, t0=cfg["schedule.t0"],
-            n_ref=cfg["metrics.n_ref"], seed=derive(seed, SEED_METRICS, i),
-        ))
-        write(io.write_json, f"metrics_a{tag}.json", record)
+    for i, (a, tag, X) in enumerate(zip(targets, tags, samples)):
+        with stage(f"metrics.a{tag}"):
+            record = build_metrics_report(X, a, world, est, oracle, view.Q, t0=cfg["schedule.t0"],
+                                          n_ref=cfg["metrics.n_ref"],
+                                          seed=derive(seed, SEED_METRICS, i))
+            write(io.write_json, f"metrics_a{tag}.json", record)
         row = {col: seed if key is None else record[key] for col, key in CSV_COLUMNS.items()}
         log(f"seed {seed} a={a:g}: reward {row['avg_reward']:+.3f} "
             f"offsupport {row['offsupport']:.3f}")

@@ -18,11 +18,12 @@ target's seed.  The output for a target therefore depends only on
 ``(score, a, n, schedule, seed)``: not on the other targets sampled with
 it, nor on how chunks share score calls.
 
-Sampling in the decoder span: a score that carries an orthonormal (D, d)
-basis ``Q`` besides ``D = d`` (a ``SpanScore``, the encoder-decoder
-``s = (V psi(V^T x, y, t) - x)/h`` seen through ``V = Q R``) is stepped on
-the span coordinates ``u = x Q`` alone.  With ``x = u Q^T + x_perp`` the
-chain splits into two independent parts:
+Sampling in the span: a span view, a score that carries an orthonormal
+(D, d) basis ``Q`` besides ``D = d``, is stepped on the coordinates
+``u = x Q`` alone.  It is a trained model's ``SpanScore``, for its
+``s = (V psi(V^T x, y, t) - x)/h`` with ``V = Q R``, or the oracle's
+``AnalyticScore.span_view()``, with ``Q = A``.  With ``x = u Q^T + x_perp``
+the chain splits into two independent parts:
 
 * the span part, ``u_{k+1} = u_k + dt (u_k / 2 + s_u(u_k, a, t_k)) +
   sqrt(dt) Q^T eps_k``, a closed d-dimensional chain whose noise
@@ -36,9 +37,9 @@ chain splits into two independent parts:
 So the points are lifted once, after the last step, as
 ``x = u Q^T + sqrt(v_K) (z - (z Q) Q^T)`` with one (rows, D) draw ``z`` per
 chunk from that chunk's stream.  They have the law of the same score
-stepped on all D coordinates, not its bytes.  A score without ``Q`` (the
-oracle's ``AnalyticScore``, any plain callable) is stepped on all D
-coordinates.
+stepped on all D coordinates, not its bytes.  A score without ``Q`` (an
+``AnalyticScore`` itself, any plain callable) is stepped on all D
+coordinates, the reference the span path is checked against.
 
 All (target, chunk) chains of one call are stacked into one state with a
 per-row target ``y``.  Consecutive chunks share one score call as long as
@@ -57,11 +58,11 @@ import numpy as np
 from .errors import SamplerDivergedError, ValidationError
 from .oracle import DiffusionSchedule, h_of
 
-# Revision of the points run_backward gives: bumped whenever some
-# (score, a, n, schedule, seed) gets other points.  A run records it, so a run
-# directory whose samples an earlier revision wrote is not up to date.
-# Revision 2 samples a SpanScore on its decoder span.
-SAMPLER_REVISION = 2
+# Revision of the points a run's config gets: bumped whenever some config
+# gets other sample points.  A run records it, so a run directory whose
+# samples an earlier revision wrote is not up to date.  Revision 2 samples a
+# trained model on its decoder span, revision 3 the oracle on its support span.
+SAMPLER_REVISION = 3
 _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
 # Most entries of D-dimensional points per score call: one 1024-row chunk at
@@ -113,8 +114,8 @@ def run_backward(
 
     ``score`` is any callable following the package convention
     ``score(x, y, t)`` that carries its dimension as ``D`` and returns a
-    new (m, D) float array, which the sampler updates in place.  A
-    ``SpanScore`` carries its span width d as ``D`` and an orthonormal
+    new (m, D) float array, which the sampler updates in place.  A span
+    view carries its span width d as ``D`` and an orthonormal
     (D, d) basis as ``Q``: its (m, d) state is stepped, and its points
     are lifted to D dimensions (see the module docstring).  ``seeds[i]``
     seeds ``targets[i]`` and must be an int or a SeedSequence so per-chunk

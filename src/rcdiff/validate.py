@@ -154,9 +154,9 @@ def check_score_gradients() -> dict:
 
 def check_sampler_moments() -> tuple[float, float]:
     """Largest mean error and relative covariance gap against the
-    closed-form law at the early-stop time, worst of two 4096-point runs:
-    the oracle's score stepped on all D coordinates, and a covering model
-    with the oracle's parameters sampled through its span view."""
+    closed-form law at the early-stop time, worst of three 4096-point runs:
+    the oracle's score on all D coordinates and through its span view, and
+    a covering model with the oracle's parameters through its span view."""
     world = make_world(D=4, d=2, seed=7)
     oracle = GaussianDesignOracle(world=world, beta_hat=world.beta_star, nu=0.5)
     schedule = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
@@ -165,7 +165,8 @@ def check_sampler_moments() -> tuple[float, float]:
                            sigma_inv_tril=np.tril(oracle.sigma_inv))
     law = noised_conditional_law(oracle, 2.0, schedule.t0)
     mean_err = cov_gap = 0.0
-    for score in (AnalyticScore(oracle), covering.span_view()):
+    exact = AnalyticScore(oracle)
+    for score in (exact, exact.span_view(), covering.span_view()):
         [X] = run_backward(score, [2.0], 4096, schedule, seeds=[11])
         mean_err = max(mean_err, float(np.max(np.abs(X.mean(axis=0) - law[0]))))
         cov_gap = max(cov_gap, moment_discrepancy(X, law)[1])

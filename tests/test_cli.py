@@ -154,7 +154,7 @@ class TestPipelineCommand:
         # A directory squatting on an artifact path makes the write fail.
         (out / "seed_0" / "world.rctb").mkdir(parents=True)
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_COMPUTE
-        assert "stage" in capsys.readouterr().err
+        assert "compute error in stage 'seed0.world'" in capsys.readouterr().err
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is False
 
@@ -427,6 +427,30 @@ def test_seed_inputs_regenerate_from_the_manifest(smoke_cfg, tmp_path):
     # The text export holds the labeled set exactly: repr floats round-trip.
     table = np.loadtxt(out / "seed_0" / "labeled.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table, np.column_stack([labeled.X, labeled.y]))
+
+
+def test_oracle_run_of_an_older_sampler_revision_is_sampled_again(smoke_cfg, capsys):
+    # As a finished oracle run written at revision 2, which stepped the
+    # oracle on all D coordinates: same config, other sample bytes.
+    from rcdiff.sampler import SAMPLER_REVISION
+
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+    assert _pipeline(cfg) == EXIT_OK
+    manifest = io.read_json(out / "manifest.json")
+    manifest["sampler_revision"] = 2
+    stale = out / "seed_0" / "samples_a0.bin"
+    stale.write_bytes((out / "seed_0" / "samples_a2.bin").read_bytes())
+    manifest["files"]["seed_0/samples_a0.bin"] = io.sha256_file(stale)
+    io.write_json(out / "manifest.json", manifest)
+    capsys.readouterr()
+    assert _pipeline(cfg) == EXIT_OK
+    assert "up to date" not in capsys.readouterr().out
+    assert io.read_json(out / "manifest.json")["sampler_revision"] == SAMPLER_REVISION
+    assert _pipeline(cfg) == EXIT_OK
+    assert "up to date" in capsys.readouterr().out
+    assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+    _assert_same_run(out, out.parent / "fresh")
 
 
 @pytest.mark.parametrize("variant", ["mlp", "covering"])

@@ -221,14 +221,15 @@ class TestRewardHistogram:
     def test_single_point_single_bin(self):
         w = make_world(D=4, d=2, seed=0)
         x = (w.A @ np.array([0.5, -0.5])).reshape(1, -1)
-        counts, _ = reward_histogram(x, w, bins=1)
-        assert counts.tolist() == [1]
-        assert counts.sum() == 1
+        counts, edges = reward_histogram(x, w)
+        bins = metrics.HISTOGRAM_BINS
+        assert counts.shape == (bins,) and edges.shape == (bins + 1,)
+        assert np.count_nonzero(counts) == 1 and counts.sum() == 1
 
     def test_counts_sum_and_monotone_edges(self):
         w = make_world(D=4, d=2, seed=1)
         X = np.random.default_rng(2).standard_normal((1000, 2)) @ w.A.T
-        counts, edges = reward_histogram(X, w, bins=17)
+        counts, edges = reward_histogram(X, w)
         assert counts.sum() == 1000
         assert np.all(np.diff(edges) > 0)
 
@@ -236,14 +237,9 @@ class TestRewardHistogram:
         w = make_world(D=6, d=3, offsupport_coeff=0.0, seed=3)
         z = np.random.default_rng(4).standard_normal((100_000, 3))
         # theta* has unit norm, so on-support rewards are standard normal.
-        counts, edges = reward_histogram(z @ w.A.T, w, bins=100)
+        counts, edges = reward_histogram(z @ w.A.T, w)
         centers = 0.5 * (edges[:-1] + edges[1:])
         assert abs(np.sum(centers * counts) / counts.sum()) < 0.02
-
-    def test_rejects_empty_binning(self):
-        w = make_world(D=4, d=2, seed=0)
-        with pytest.raises(ValidationError):
-            reward_histogram(np.zeros((3, 4)), w, bins=0)
 
 
 class TestMetricsReport:

@@ -71,6 +71,18 @@ class TestShapeInvariant:
             np.testing.assert_allclose(view(X @ view.Q, y, t), model(X, y, t) @ view.Q,
                                        rtol=1e-10, atol=1e-12)
 
+    def test_oracle_span_view_is_the_span_part_of_the_analytic_score(self):
+        world = make_world(D=6, d=3, seed=4)
+        orc = GaussianDesignOracle(world=world, beta_hat=np.array([0.6, -0.4, 0.9]), nu=0.5)
+        view = AnalyticScore(orc).span_view()
+        assert view.D == 3 and view.Q is world.A
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((5, 6)), rng.standard_normal(5)
+        for t in (0.7, rng.uniform(0.1, 4.0, 5)):
+            np.testing.assert_allclose(view(X @ world.A, y, t),
+                                       analytic_score(orc, X, y, t) @ world.A,
+                                       rtol=1e-10, atol=1e-12)
+
     def test_batch_call_matches_rowwise(self):
         rng = np.random.default_rng(1)
         for model in _models():
