@@ -190,11 +190,14 @@ def distro_shift_surrogate(oracle: GaussianDesignOracle, a: float) -> float:
 class AnalyticScore:
     """Callable adapter exposing the closed-form score to sampler and losses.
 
-    ``Q`` is set on a span view only (see ``span_view``).
+    ``Q`` is set on a span view only (see ``span_view``).  The score is
+    affine in ``x``, so ``run_backward`` draws a span view's state from
+    its chain's exact law.
     """
 
     oracle: GaussianDesignOracle
     Q: np.ndarray | None = None
+    affine = True  # unannotated, so a class attribute, not a field
 
     def __call__(self, x, y, t):
         return analytic_score(self.oracle, x, y, t)
@@ -207,7 +210,8 @@ class AnalyticScore:
         """This score on span coordinates ``u = x A``, where its span part is
         ``(a/h) B_t (a u + (h/nu^2) y beta) - u/h``: the closed form of the
         same oracle with ``A`` replaced by ``I_d``, so ``D = d``, carrying
-        ``Q = A`` (``run_backward`` steps it as it steps a ``SpanScore``)."""
+        ``Q = A`` (``run_backward`` samples it as it samples a covering
+        ``SpanScore``)."""
         world = self.oracle.world
         flat = replace(self.oracle, world=replace(world, A=np.eye(world.d)))
         return AnalyticScore(flat, Q=world.A)

@@ -79,6 +79,9 @@ class _EncoderDecoderScore:
     """
 
     _shape_keys: tuple = ()  # constructor arguments kept in the model file
+    # True for a head affine in u, which makes the score affine in x: the
+    # sampler then draws the span view's state from its exact law.
+    affine = False
 
     def __call__(self, x, y, t):
         x = np.asarray(x, dtype=float)
@@ -145,13 +148,15 @@ class SpanScore:
     ``Q`` is the orthonormal decoder basis of ``extract_subspace(model)``
     and ``V = Q R``, so ``x V = u R`` and the span part of the score is
     ``s_u(u, y, t) = (psi(u R, y, t) R^T - u) / h(t)``, an (m, d) array.
-    The score declares ``D = d`` and carries ``Q``: ``run_backward`` steps
-    the (m, d) state of such a score and draws the rest of each point off
-    the span (see ``rcdiff.sampler``).
+    The score declares ``D = d``, carries ``Q`` and declares ``affine``
+    as its model does: ``run_backward`` draws the (m, d) state of such a
+    score from its chain's exact law (affine) or steps it, and draws the
+    rest of each point off the span (see ``rcdiff.sampler``).
     """
 
     def __init__(self, model: _EncoderDecoderScore):
         self.model = model
+        self.affine = model.affine
         self.Q = extract_subspace(model)
         self.R = self.Q.T @ model.params["V"]
         self.D = model.d
@@ -164,6 +169,7 @@ class CoveringScore(_EncoderDecoderScore):
     """Encoder-decoder score with the parametric Gaussian-design head."""
 
     variant = "covering"
+    affine = True
 
     def __init__(self, D: int, d: int, nu: float, *, seed):
         if not nu > 0:
