@@ -37,8 +37,11 @@ class TrainingDivergedError(RcdiffError, RuntimeError):
 class SamplerDivergedError(RcdiffError, RuntimeError):
     """The backward SDE iteration produced a non-finite state.
 
-    Carries the step index and the target value ``a`` of the first
-    non-finite row.
+    Carries the step index and the target value ``a``.  A stepped run
+    stops at the first diverging chunk in target-major order, at that
+    chunk's first non-finite step; a chain-law run stops at the first step
+    whose mean or covariance is non-finite for some target, and names the
+    first such target.
     """
 
     def __init__(self, step: int, a: float):

@@ -60,7 +60,15 @@ def suboptimality(X: np.ndarray, world: SubspaceWorld, a: float) -> tuple[float,
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Three error components whose sum upper-bounds the suboptimality."""
+    """Three error components of the suboptimality.
+
+    With ``mu(a)`` the mean of the reference's conditional latent law
+    (the oracle's ``beta_hat`` and ``nu``), ``|subopt| <= e1 + e2 + e3 +
+    |a - beta_hat^T mu(a)|`` up to the reference mean's Monte Carlo
+    error.  The last term is the label shrinkage ``a nu^2 / (beta_hat^T
+    Sigma beta_hat + nu^2)``, so ``e1 + e2 + e3`` alone does not bound it
+    at ``a != 0``.
+    """
 
     e1: float                 # reward-estimation error on the target law
     e2: float                 # on-support generation error

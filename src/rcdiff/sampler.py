@@ -15,8 +15,9 @@ Splitting rule: each target's batch is generated in fixed chunks of
 ``CHUNK_SIZE`` trajectories, the i-th chunk drawing its span state (its
 start and per-step noise, or its chain-law draw) and its off-span draw
 (below) from the i-th spawn of the target's seed.  The output for a
-target therefore depends only on ``(score, a, n, schedule, seed)``: not
-on the other targets sampled with it, nor on how chunks share score calls.
+target therefore depends only on ``(score, a, n, schedule, seed)``, not
+on the other targets sampled with it, and a chunk's points do not depend
+on the chunks after it.
 
 Sampling in the span: a span view, a score that carries an orthonormal
 (D, d) basis ``Q`` besides ``D = d``, is sampled on the coordinates
@@ -54,15 +55,10 @@ stepped on all D coordinates, not its bytes.  A score without ``Q`` (an
 coordinates, affine or not: it is the reference both span paths are
 checked against.
 
-All stepped (target, chunk) chains of one call are stacked into one state
-with a per-row target ``y``.  Consecutive chunks share one score call as
-long as the call holds at most ``CALL_ENTRIES`` entries of D-dimensional
-points, for a span score too (a chunk over the cap gets a call of its
-own); each group of chunks runs every step before the next group starts.
-The Euler update runs in place, in the evaluation order of the formula
-above, so for a score that computes each row on its own the stacked call
-gives the bytes of one call per target.  ``chain_law`` stacks every
-target's probes into one call per step the same way.
+Each (target, chunk) is sampled on its own and written straight into the
+output: a stepped chunk runs every step, one score call of its rows per
+step, before the next chunk starts.  Only ``chain_law`` stacks targets:
+it probes every target in one call per step.
 """
 
 from __future__ import annotations
@@ -76,14 +72,11 @@ from .oracle import DiffusionSchedule, h_of
 # gets other sample points.  A run records it, so a run directory whose
 # samples an earlier revision wrote is not up to date.  Revision 2 samples a
 # trained model on its decoder span, revision 3 the oracle on its support span,
-# revision 4 draws every affine span view from its chain's exact law.
-SAMPLER_REVISION = 4
+# revision 4 draws every affine span view from its chain's exact law, revision
+# 5 steps each chunk in score calls of its own rows.
+SAMPLER_REVISION = 5
 _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
-# Most entries of D-dimensional points per score call: one 1024-row chunk at
-# D = 64, six at D = 8.  A span score's calls hold as many rows, so the
-# activations of the mlp head, whose width does not shrink with d, do not grow.
-CALL_ENTRIES = 65_536
 
 
 def backward_steps(schedule: DiffusionSchedule) -> list:
@@ -173,97 +166,72 @@ def run_backward(
     ``seeds[i]`` seeds ``targets[i]`` and must be an int or a SeedSequence
     so per-chunk streams can be derived.  The i-th slice, the points of
     ``targets[i]``, is a pure function of ``(score, a, n, schedule, seed)``.
+
+    Chunks are sampled in target-major order, so a stepped run that
+    diverges raises ``SamplerDivergedError`` for the first diverging chunk
+    in that order, at that chunk's first non-finite step; a chain-law run
+    raises at the first step whose law is non-finite, before any draw.
     """
     targets = [float(a) for a in targets]
     seeds = list(seeds)
     if not targets or len(seeds) != len(targets):
         raise ValidationError("run_backward needs one seed per target and at least one target")
-    if n < 1:
-        raise ValidationError("n must be at least 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError("n must be an integer of at least 1")
     width = getattr(score, "D", None)
     if width is None:
         raise ValidationError("the score must carry its dimension as D")
     if any(isinstance(seed, np.random.Generator) for seed in seeds):
         raise ValidationError("run_backward needs int or SeedSequence seeds")
     Q = getattr(score, "Q", None)
-    D = width if Q is None else Q.shape[0]
-
-    # One row block per (target, chunk), target-major: (start, stop, generator).
-    blocks = []
-    for i, seed in enumerate(seeds):
-        root = seed if isinstance(seed, np.random.SeedSequence) else \
-            np.random.SeedSequence(int(seed))
-        for j in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-            # root.spawn's j-th child, built without advancing root's spawn count.
-            child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (j,),
-                                           pool_size=root.pool_size)
-            start = i * n + j * CHUNK_SIZE
-            blocks.append((start, min(start + CHUNK_SIZE, (i + 1) * n),
-                           np.random.default_rng(child)))
-    x = np.empty((len(targets) * n, width))
-    if Q is not None and getattr(score, "affine", False):
+    affine = Q is not None and getattr(score, "affine", False)
+    if affine:
         mu, C = chain_law(score, targets, schedule)
         L = np.linalg.cholesky(C)
-        for start, stop, rng in blocks:
-            i = start // n
-            x[start:stop] = mu[i] + rng.standard_normal((stop - start, width)) @ L[i].T
-    else:
-        _euler(score, targets, n, schedule, blocks, x, D)
-    if Q is None:
-        return x.reshape(len(targets), n, D)
-    # x = u Q^T + sqrt(v_K) (z - (z Q) Q^T), chunk by chunk, z from the
-    # chunk's stream after its span state.
-    out = np.empty((len(targets) * n, D))
-    sd = np.sqrt(off_span_variance(schedule))
-    for start, stop, rng in blocks:
-        z = rng.standard_normal(out=out[start:stop])
-        span = x[start:stop] - sd * (z @ Q)
-        z *= sd
-        z += span @ Q.T
-    return out.reshape(len(targets), n, D)
+    if Q is not None:
+        sd = np.sqrt(off_span_variance(schedule))
+    out = np.empty((len(targets), n, width if Q is None else Q.shape[0]))
+    for i, (a, seed) in enumerate(zip(targets, seeds)):
+        root = seed if isinstance(seed, np.random.SeedSequence) else \
+            np.random.SeedSequence(int(seed))
+        for j, start in enumerate(range(0, n, CHUNK_SIZE)):
+            # root.spawn's j-th child, built without advancing root's spawn count.
+            rng = np.random.default_rng(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size))
+            block = out[i, start:start + CHUNK_SIZE]
+            if affine:
+                u = mu[i] + rng.standard_normal((len(block), width)) @ L[i].T
+            else:
+                u = _euler(score, a, len(block), schedule, rng)
+            if Q is None:
+                block[...] = u
+                continue
+            # x = u Q^T + sqrt(v_K) (z - (z Q) Q^T), z from the chunk's
+            # stream after its span state.
+            z = rng.standard_normal(out=block)
+            span = u - sd * (z @ Q)
+            z *= sd
+            z += span @ Q.T
+    return out
 
 
-def _euler(score, targets, n, schedule, blocks, x, D) -> None:
-    """Step every row block of ``x`` from its standard-normal start through
-    the Euler chain, in place; ``D`` is the width the call cap counts."""
-    groups = _call_groups(blocks, D)
-    y = np.repeat(targets, n)
-    noise = np.empty((max(g[-1][1] - g[0][0] for g in groups), x.shape[1]))
+def _euler(score, a, rows, schedule, rng) -> np.ndarray:
+    """Step ``rows`` chains of target ``a`` from a standard-normal start
+    drawn from ``rng``, which then draws each step's noise."""
+    x = rng.standard_normal((rows, score.D))
+    y = np.full(rows, a)
+    noise = np.empty_like(x)
     steps = backward_steps(schedule)
-    times = _score_times(schedule, steps)
-    for group in groups:
-        lo, hi = group[0][0], group[-1][1]
-        xg, yg, ng = x[lo:hi], y[lo:hi], noise[:hi - lo]
-        for start, stop, rng in group:
-            rng.standard_normal(out=x[start:stop])
-        draws = [(rng, ng[start - lo:stop - lo]) for start, stop, rng in group]
-        for k, (dt, t) in enumerate(zip(steps, times)):
-            drift = score(xg, yg, t)
-            # The noise buffer holds x / 2 until this step's noise is drawn.
-            np.multiply(xg, 0.5, out=ng)
-            drift += ng
-            drift *= dt
-            xg += drift
-            for rng, block in draws:
-                rng.standard_normal(out=block)
-            ng *= np.sqrt(dt)
-            xg += ng
-            if not np.isfinite(xg).all():
-                row = lo + int(np.argmin(np.isfinite(xg).all(axis=1)))
-                raise SamplerDivergedError(k, targets[row // n])
-
-
-def _call_groups(blocks, D) -> list:
-    """Consecutive row blocks packed into score calls of at most ``CALL_ENTRIES``
-    state entries each (a block over the cap makes a call of its own)."""
-    groups, rows = [], 0
-    for block in blocks:
-        m = block[1] - block[0]
-        if groups and (rows + m) * D <= CALL_ENTRIES:
-            groups[-1].append(block)
-            rows += m
-        else:
-            groups.append([block])
-            rows = m
-    return groups
-
+    for k, (dt, t) in enumerate(zip(steps, _score_times(schedule, steps))):
+        drift = score(x, y, t)
+        # The noise buffer holds x / 2 until this step's noise is drawn.
+        np.multiply(x, 0.5, out=noise)
+        drift += noise
+        drift *= dt
+        x += drift
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt(dt)
+        x += noise
+        if not np.isfinite(x).all():
+            raise SamplerDivergedError(k, a)
+    return x

@@ -21,6 +21,7 @@ from rcdiff.oracle import (
     AnalyticScore,
     DiffusionSchedule,
     GaussianDesignOracle,
+    conditional_latent_law,
     sample_conditional_latents,
 )
 from rcdiff.regression import RidgeEstimate
@@ -181,6 +182,30 @@ class TestDecomposition:
         expected = w.offsupport_coeff * float(np.mean(np.sum(x_perp**2, axis=1)))
         dec = subopt_decomposition(X, w, _unit_est(w), orc, a=0.0, seed=12)
         assert abs(dec.e3 - expected) < 1e-12
+
+    def test_components_and_label_shrinkage_bound_the_suboptimality(self):
+        # subopt = (a - beta_hat^T mu(a)) + E[(theta_hat - theta*)^T x_ref]
+        # + (E g_ref - E g_gen) - off-support reward, so |subopt| is at most
+        # e1 + e2 + e3 + |a - beta_hat^T mu(a)| up to the reference mean's
+        # Monte Carlo error.  Without the shrinkage term the bound fails.
+        from rcdiff.sampler import run_backward
+
+        w, _ = self._setup()
+        theta = w.theta_star + 0.2 * np.random.default_rng(4).standard_normal(8)
+        orc = GaussianDesignOracle(world=w, beta_hat=w.A.T @ theta, nu=0.5)
+        sched = DiffusionSchedule(terminal_time=5.0, t0=0.02, eta=0.02)
+        targets = [0.0, 2.0, 4.0, 8.0]
+        samples = run_backward(AnalyticScore(orc).span_view(), targets, 2048, sched,
+                               seeds=[1, 2, 3, 4])
+        for a, X in zip(targets, samples):
+            subopt, _ = suboptimality(X, w, a)
+            dec = subopt_decomposition(X, w, _unit_est(w, theta), orc, a, seed=5)
+            mean, _ = conditional_latent_law(orc, a)
+            shrinkage = abs(a - orc.beta_hat @ mean)
+            parts = dec.e1 + dec.e2 + dec.e3
+            assert abs(subopt) <= parts + shrinkage + 4 * dec.e2_se
+        # At a = 8, the last target, the three components alone fall short.
+        assert abs(subopt) > parts + 4 * dec.e2_se
 
 
 class TestPushforwardDiscrepancy:

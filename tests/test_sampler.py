@@ -136,8 +136,9 @@ class TestRunBackward:
     def test_rejects_bad_count_and_missing_dim(self):
         orc = _oracle()
         sched = DiffusionSchedule(terminal_time=2.0, t0=0.1, eta=0.1)
-        with pytest.raises(ValidationError):
-            run_backward(AnalyticScore(orc), [0.0], 0, sched, seeds=[0])
+        for n in (0, 8.0):
+            with pytest.raises(ValidationError):
+                run_backward(AnalyticScore(orc), [0.0], n, sched, seeds=[0])
         with pytest.raises(ValidationError):
             run_backward(lambda x, y, t: x, [0.0], 4, sched, seeds=[0])
 
@@ -257,13 +258,14 @@ class TestChainLaw:
 
 
 class TestStackedTargets:
-    """Every target of a call is stepped as one stacked state."""
+    """The targets of one call, stacked in its output, are sampled one
+    after another, chunk by chunk."""
 
     SCHED = DiffusionSchedule(terminal_time=1.0, t0=0.1, eta=0.1)
 
     def test_stacked_call_matches_single_target_calls(self):
-        # D = 8 packs both chunks of all three targets into one score call,
-        # so that call crosses the row boundaries between targets.
+        # Two chunks of each of three targets, on a score of each path: a
+        # target's points do not depend on the targets sampled with it.
         targets, seeds = [0.0, 2.0, -1.5], [3, np.random.SeedSequence([4, 20, 1]), 5]
         n = CHUNK_SIZE + 200
         for score in _each_path(8, 2):
@@ -273,22 +275,25 @@ class TestStackedTargets:
                 [single] = run_backward(score, [a], n, self.SCHED, seeds=[seed])
                 assert X.tobytes() == single.tobytes()
 
-    @pytest.mark.parametrize("D, calls_per_step", [(8, 1), (64, 6)])
-    def test_score_calls_per_step(self, D, calls_per_step):
+    @pytest.mark.parametrize("D, d", [(8, 1), (64, 6)])
+    def test_score_calls_per_step(self, D, d):
         class Counting:
             def __call__(self, x, y, t):
-                rows.append(x.shape[0])
+                calls.append((x.shape[0], *np.unique(y)))
                 return -x
 
-        # A span score with d = D / 4 (a basis Q): its calls hold as many
-        # rows as a full one's, since the cap counts D-dimensional points.
-        span = type("CountingSpan", (Counting,), {"D": D // 4, "Q": _basis(D, D // 4)})
+        # One score call per chunk per step, whatever D: a full-D score and
+        # the same score as a span score on d coordinates of D.
         Counting.D = D
+        span = type("CountingSpan", (Counting,), {"D": d, "Q": _basis(D, d)})
+        targets, n = [0.0, 1.0, 2.0], CHUNK_SIZE + 200
+        K = len(backward_steps(self.SCHED))
         for cls in (Counting, span):
-            rows = []
-            run_backward(cls(), [0.0, 1.0, 2.0], 2 * CHUNK_SIZE, self.SCHED, seeds=[0, 1, 2])
-            assert len(rows) == len(backward_steps(self.SCHED)) * calls_per_step
-            assert sum(rows) == len(backward_steps(self.SCHED)) * 6 * CHUNK_SIZE
+            calls = []
+            run_backward(cls(), targets, n, self.SCHED, seeds=[0, 1, 2])
+            # Target-major, and every step of a chunk before the next chunk.
+            assert calls == [(rows, a) for a in targets for rows in (CHUNK_SIZE, 200)
+                             for _ in range(K)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_target(self):
