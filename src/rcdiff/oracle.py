@@ -18,7 +18,9 @@ admits closed forms for everything this package needs to test itself:
 The module also carries a quadrature + finite-difference reference for the
 score in the d=1 case, kept deliberately independent of the formulas above:
 it integrates the latent variable numerically and differentiates the log
-density, so it can catch errors in the closed forms.
+density, so it can catch errors in the closed forms.  It is the one user of
+``scipy.integrate`` and imports it only when it runs, so that importing
+``rcdiff`` and running the pipeline do not load it (nor ``scipy.special``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 from .world import SubspaceWorld, _check_spd
@@ -229,6 +230,8 @@ def log_density_quadrature(oracle: GaussianDesignOracle, x: np.ndarray, y: float
     evaluated with adaptive quadrature on a window wide enough that the
     truncated tails are negligible.
     """
+    from scipy import integrate
+
     if oracle.world.d != 1:
         raise ValidationError("quadrature reference only supports d = 1")
     x = np.asarray(x, dtype=float)

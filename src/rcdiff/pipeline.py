@@ -35,8 +35,9 @@ sha256 is in its training record, or of the oracle under
 
 Artifacts under the output directory::
 
-    manifest.json                resolved config, file hashes, timings,
-                                 training records (loss traces, model key)
+    manifest.json                resolved config, file hashes, timings, host
+                                 (``_host``), training records (loss traces,
+                                 model key)
     metrics.csv                  one row per cell: its record through ``CSV_COLUMNS``
     seed_<s>/world.rctb          ground truth tensors
     seed_<s>/labeled.csv         labeled features and labels, as text
@@ -55,11 +56,15 @@ and ``pseudo_label`` under ``derive(seed, SEED_PSEUDO)`` the labels.
 from __future__ import annotations
 
 import csv
+import importlib.metadata
 import json
 import os
+import platform
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import io
 from .config import RunConfig
@@ -95,6 +100,9 @@ SEED_METRICS = 21
 # sampler's step, is one of those.
 MODEL_KEYS = ("world.", "data.", "reward.", "score.", "schedule.T", "schedule.t0")
 
+# Environment variables that set the BLAS thread count, recorded as set.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class PipelineStageError(RcdiffError, RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -118,6 +126,26 @@ def _part(record: dict, key: str) -> dict:
     """``record[key]`` when it is an object; a part of another shape counts as absent."""
     part = record.get(key)
     return part if isinstance(part, dict) else {}
+
+
+def _host() -> dict:
+    """What the run ran on: library versions, BLAS and its thread settings.
+    Read from package metadata and numpy's build config, so it imports no
+    scipy module."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+        "blas": blas,
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "threads": {k: os.environ.get(k) for k in THREAD_ENV},
+    }
 
 
 def is_up_to_date(cfg: RunConfig, out_dir, manifest: dict) -> bool:
@@ -145,7 +173,7 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
         return out
     trained = _part(last, "training")
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config_digest": cfg.digest(), "config": cfg.values,
+    manifest = {"config_digest": cfg.digest(), "config": cfg.values, "host": _host(),
                 "sampler_revision": SAMPLER_REVISION, "files": {}, "timings_s": {}}
     rows, complete = [], False
     try:

@@ -394,13 +394,36 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
     manifest = io.read_json(out / "manifest.json")
     assert set(manifest["files"]) == expected
     # The oracle's parameters are the config's nu and the stored world and ridge.
-    assert set(manifest) == {"config_digest", "config", "files",
+    assert set(manifest) == {"config_digest", "config", "files", "host",
                              "sampler_revision", "timings_s", "complete"} | (
                                  {"training"} if model else set())
     # Pseudo-labels are computed only for a model that is trained.
     assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
     on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert on_disk == expected | {"manifest.json"}
+
+
+def test_manifest_records_the_host_outside_the_up_to_date_check(smoke_cfg, monkeypatch, capsys):
+    import importlib.metadata
+    import platform
+
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert _pipeline(cfg) == EXIT_OK
+    host = io.read_json(out / "manifest.json")["host"]
+    assert set(host) == {"python", "numpy", "scipy", "blas", "cpus", "threads"}
+    assert host["python"] == platform.python_version()
+    assert host["scipy"] == importlib.metadata.version("scipy")
+    assert host["cpus"] >= 1
+    assert host["threads"]["OMP_NUM_THREADS"] == "1"
+    assert host["threads"]["MKL_NUM_THREADS"] is None
+    # Another thread setting changes no output, so the run stays up to date.
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    capsys.readouterr()
+    assert _pipeline(cfg) == EXIT_OK
+    assert "up to date" in capsys.readouterr().out
 
 
 def test_seed_inputs_regenerate_from_the_manifest(smoke_cfg, tmp_path):

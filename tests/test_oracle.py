@@ -1,5 +1,10 @@
 """Closed-form Gaussian-design quantities against independent references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,3 +253,36 @@ class TestSecondMomentAndShift:
         w = make_world(D=4, d=2, seed=0)
         with pytest.raises(ValidationError):
             GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.0)
+
+
+# Run in a fresh interpreter: importing the package and running a pipeline
+# must not load scipy.integrate; only the quadrature reference does.
+_DEFERRED_IMPORT = """
+import math, sys, tempfile
+import rcdiff, rcdiff.cli
+from rcdiff.config import RunConfig
+from rcdiff.oracle import GaussianDesignOracle, log_density_quadrature
+from rcdiff.pipeline import run_pipeline
+from rcdiff.world import make_world
+
+cfg = RunConfig(values={"world.D": 4, "world.d": 1, "data.n1": 256, "data.n2": 64,
+                        "schedule.T": 2.0, "schedule.t0": 0.1, "schedule.eta": 0.1,
+                        "score.variant": "oracle", "sweep.a": [1.0], "sweep.seeds": [0],
+                        "sample.n": 32, "metrics.n_ref": 100})
+with tempfile.TemporaryDirectory() as out:
+    run_pipeline(cfg, out)
+assert "scipy.integrate" not in sys.modules, "loaded by import or pipeline"
+w = make_world(D=3, d=1, seed=0)
+oracle = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
+assert math.isfinite(log_density_quadrature(oracle, w.A[:, 0] * 0.3, 0.2, 0.5))
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_scipy_integrate_loads_only_with_the_quadrature_reference():
+    import rcdiff
+
+    src = str(Path(rcdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _DEFERRED_IMPORT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
