@@ -129,9 +129,8 @@ def _part(record: dict, key: str) -> dict:
 
 
 def _host() -> dict:
-    """What the run ran on: library versions, BLAS and its thread settings.
-    Read from package metadata and numpy's build config, so it imports no
-    scipy module."""
+    """What the run ran on: library versions, BLAS and its thread settings,
+    read from package metadata and numpy's build config."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -140,7 +139,6 @@ def _host() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
         "blas": blas,
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),

@@ -1,7 +1,7 @@
 """Reward estimation, pseudo-labeling, and coverage diagnostics.
 
 The reward parameter is fit by ridge regression,
-``theta = (X^T X + lambda I)^{-1} X^T y`` (SPD solve, never an explicit
+``theta = (X^T X + lambda I)^{-1} X^T y`` (a linear solve, never an explicit
 inverse), the unlabeled pool is annotated with ``theta^T x + N(0, nu^2)``,
 and the off-policy coverage quantity ``tr(Sigma_lambda^{-1} Sigma_target)``
 is available both as a full ambient-dimension solve (``coverage_trace``)
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import RankError, ValidationError
 from .oracle import GaussianDesignOracle, conditional_latent_law
@@ -59,7 +58,7 @@ class RidgeEstimate:
 
 
 def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
-    """Solve the ridge normal equations with a Cholesky factorization.
+    """Solve the ridge normal equations with ``np.linalg.solve``.
 
     ``lam = 0`` is accepted only when the Gram matrix is numerically full
     rank (condition estimate below 1e12); otherwise a ``RankError`` is
@@ -76,10 +75,9 @@ def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
             raise RankError(f"unregularized system is rank deficient (cond {cond:.2e})")
     rhs = X.T @ y
     try:
-        cho = linalg.cho_factor(gram, lower=True, check_finite=False)
+        theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
         raise RankError(str(exc)) from exc
-    theta = linalg.cho_solve(cho, rhs, check_finite=False)
     resid = np.linalg.norm(gram @ theta - rhs)
     if resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
         raise RankError(f"normal-equation residual too large ({resid:.3e})")
@@ -120,7 +118,7 @@ def coverage_trace(est: RidgeEstimate, sigma_pa: np.ndarray) -> float:
     S = _check_psd(sigma_pa, "sigma_pa")
     if S.shape[0] != est.D:
         raise ValidationError("sigma_pa dimension does not match estimate")
-    return float(np.trace(linalg.solve(est.sigma_hat_lambda, S, assume_a="pos")))
+    return float(np.trace(np.linalg.solve(est.sigma_hat_lambda, S)))
 
 
 def coverage_trace_factored(est: RidgeEstimate, A: np.ndarray, sigma2: np.ndarray) -> float:
@@ -132,7 +130,7 @@ def coverage_trace_factored(est: RidgeEstimate, A: np.ndarray, sigma2: np.ndarra
     """
     S2 = _check_psd(sigma2, "sigma2")
     M = A.T @ est.v_lambda @ A
-    return est.n2 * float(np.trace(linalg.solve(M, S2, assume_a="pos")))
+    return est.n2 * float(np.trace(np.linalg.solve(M, S2)))
 
 
 def target_covariance(

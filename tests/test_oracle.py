@@ -19,6 +19,7 @@ from rcdiff.oracle import (
     distro_shift_surrogate,
     h_of,
     latent_second_moment,
+    log_density_quadrature,
     noised_conditional_law,
     sample_conditional_latents,
 )
@@ -255,15 +256,41 @@ class TestSecondMomentAndShift:
             GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.0)
 
 
-# Run in a fresh interpreter: importing the package and running a pipeline
-# must not load scipy.integrate; only the quadrature reference does.
-_DEFERRED_IMPORT = """
-import math, sys, tempfile
+class TestQuadratureReference:
+    def test_log_density_differences_match_the_joint_normal_law(self):
+        # (x, y) at time t is jointly normal with mean zero; its covariance
+        # follows from x = a A z + sqrt(h) eps and y = beta z + nu xi.
+        orc = _oracle(D=3, d=1, nu=0.4, sigma=np.array([[0.6]]), seed=2)
+        A, beta, sig2 = orc.world.A, orc.beta_hat[0], orc.world.Sigma[0, 0]
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            t = rng.uniform(0.05, 3.0)
+            a, h = float(alpha_of(t)), float(h_of(t))
+            cov = np.zeros((4, 4))
+            cov[:3, :3] = a**2 * sig2 * A @ A.T + h * np.eye(3)
+            cov[:3, 3] = cov[3, :3] = a * sig2 * beta * A[:, 0]
+            cov[3, 3] = beta**2 * sig2 + orc.nu**2
+            x1, x2 = rng.standard_normal((2, 3))
+            y = rng.standard_normal()
+
+            def quad_form(x):
+                v = np.append(x, y)
+                return v @ np.linalg.solve(cov, v)
+
+            want = -0.5 * (quad_form(x1) - quad_form(x2))
+            got = log_density_quadrature(orc, x1, y, t) - log_density_quadrature(orc, x2, y, t)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+# Run in a fresh interpreter: importing the package, running a pipeline and
+# running every validate check (the quadrature reference included) must not
+# load any scipy module.
+_NO_SCIPY = """
+import sys, tempfile
 import rcdiff, rcdiff.cli
 from rcdiff.config import RunConfig
-from rcdiff.oracle import GaussianDesignOracle, log_density_quadrature
 from rcdiff.pipeline import run_pipeline
-from rcdiff.world import make_world
+from rcdiff.validate import run_checks
 
 cfg = RunConfig(values={"world.D": 4, "world.d": 1, "data.n1": 256, "data.n2": 64,
                         "schedule.T": 2.0, "schedule.t0": 0.1, "schedule.eta": 0.1,
@@ -271,18 +298,16 @@ cfg = RunConfig(values={"world.D": 4, "world.d": 1, "data.n1": 256, "data.n2": 6
                         "sample.n": 32, "metrics.n_ref": 100})
 with tempfile.TemporaryDirectory() as out:
     run_pipeline(cfg, out)
-assert "scipy.integrate" not in sys.modules, "loaded by import or pipeline"
-w = make_world(D=3, d=1, seed=0)
-oracle = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
-assert math.isfinite(log_density_quadrature(oracle, w.A[:, 0] * 0.3, 0.2, 0.5))
-assert "scipy.integrate" in sys.modules
+run_checks()
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_scipy_integrate_loads_only_with_the_quadrature_reference():
+def test_pipeline_and_validate_load_no_scipy_module():
     import rcdiff
 
     src = str(Path(rcdiff.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _DEFERRED_IMPORT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
