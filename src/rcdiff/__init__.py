@@ -53,7 +53,6 @@ from .metrics import (
     build_metrics_report,
     moment_discrepancy,
     off_support_deviation,
-    reward_histogram,
     subopt_decomposition,
     subspace_angle,
     suboptimality,

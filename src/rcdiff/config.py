@@ -66,6 +66,12 @@ SCHEMA = {
     "out.dir": (str, "runs/default", "output directory"),
 }
 
+# The type of a value given directly, not parsed from text, by its key's
+# parser: of each item for a list key.  A float also takes an int; a bool
+# is neither.
+_ITEM_TYPES = {int: int, float: (int, float), str: str,
+               _parse_int_list: int, _parse_float_list: (int, float)}
+
 
 def parse_config_text(text: str) -> dict:
     """Parse and validate a config file body into a flat key -> value dict."""
@@ -105,9 +111,14 @@ class RunConfig:
 
     @staticmethod
     def _validate(v: dict) -> None:
-        # nan and inf pass the range checks below and fail only at run time.
         for key, (parser, _, _) in SCHEMA.items():
-            if parser in (float, _parse_float_list) and not np.all(np.isfinite(v[key])):
+            listed = parser in (_parse_int_list, _parse_float_list)
+            items = v[key] if listed else [v[key]]
+            if (listed and not isinstance(items, (list, tuple))) or any(
+                    isinstance(x, bool) or not isinstance(x, _ITEM_TYPES[parser]) for x in items):
+                raise ConfigError(f"{key} has a value of the wrong type: {v[key]!r}")
+            # nan and inf pass the range checks below and fail only at run time.
+            if parser in (float, _parse_float_list) and not np.all(np.isfinite(items)):
                 raise ConfigError(f"{key} must be finite")
         if not 1 <= v["world.d"] <= v["world.D"]:
             raise ConfigError("need 1 <= world.d <= world.D")

@@ -3,9 +3,11 @@
 Aggregates the per-cell metrics of a pipeline run into per-target curves
 (mean with an error bar of twice the standard deviation over seeds) for the
 average reward, the distribution-shift surrogate, and the off-support
-deviation, plus pooled reward histograms per target value
-(``metrics.HISTOGRAM_BINS`` shared uniform bins over the pooled sweep range).
-It reads ``metrics.csv`` and each seed's ``world.rctb`` and samples only.
+deviation, plus, per target value, the reward histogram of its samples
+pooled over seeds: ``HISTOGRAM_BINS`` uniform bins, shared by every target,
+over the range of all the run's rewards.  These are the run's only reward
+histograms.  It reads ``metrics.csv`` and each seed's ``world.rctb`` and
+samples only.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import numpy as np
 
 from . import io
 from .errors import RcdiffError
-from .metrics import HISTOGRAM_BINS
 from .pipeline import read_metrics_csv
 from .svgplot import Series, render_line_plot
 from .world import true_reward
 
 ERRORBAR_STD_MULTIPLIER = 2.0
+HISTOGRAM_BINS = 50  # of every figures/hist_a*.csv
 
 CURVES = [
     ("avg_reward", "average reward"),

@@ -3,9 +3,10 @@
 Covers subspace recovery (projector-difference Frobenius angle), support
 fidelity (mean orthogonal distance), reward quality (suboptimality against
 the target value and its three-part decomposition into reward-estimation,
-on-support, and off-support errors), moment discrepancies against a
-reference Gaussian law, and reward histograms.  The helpers take the
-generated points as an (n, D) array.
+on-support, and off-support errors), and moment discrepancies against a
+reference Gaussian law.  The helpers take the generated points as an
+(n, D) array.  Reward histograms are drawn from the pooled samples of a
+whole run, not per cell: see ``figures``.
 
 ``build_metrics_report`` gathers them for one (seed, target) cell into the
 record that the pipeline writes as ``metrics_a<tag>.json``: a plain dict
@@ -30,8 +31,6 @@ from .oracle import (
 )
 from .regression import RidgeEstimate
 from .world import SubspaceWorld, _check_orthonormal, decompose, true_reward
-
-HISTOGRAM_BINS = 50  # of the record's reward histogram and of figures/hist_a*.csv
 
 
 def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
@@ -141,11 +140,6 @@ def moment_discrepancy(X: np.ndarray, law: tuple) -> tuple[float, float]:
     return mean_gap, cov_gap
 
 
-def reward_histogram(X: np.ndarray, world: SubspaceWorld) -> tuple:
-    """``(counts, edges)`` of the realized rewards in ``HISTOGRAM_BINS`` bins."""
-    return np.histogram(true_reward(world, X), bins=HISTOGRAM_BINS)
-
-
 # ---------------------------------------------------------------------------
 # Per-cell record
 # ---------------------------------------------------------------------------
@@ -176,7 +170,6 @@ def build_metrics_report(
     dec = subopt_decomposition(X, world, est, oracle, a, n_ref, seed=seed)
     law = noised_conditional_law(oracle, a, t0)
     mean_gap, cov_gap = moment_discrepancy(X, law)
-    counts, edges = reward_histogram(X, world)
     record = {
         "a": a,
         "n": X.shape[0],
@@ -190,10 +183,6 @@ def build_metrics_report(
         "distro_shift": distro_shift_surrogate(oracle, a),
         "distro_shift_kind": "known-sigma-surrogate",
         "moment_discrepancy": {"mean_gap": mean_gap, "cov_gap": cov_gap},
-        "histogram": {
-            "edges": [float(v) for v in edges],
-            "counts": [int(v) for v in counts],
-        },
     }
     scalars = [*record.values(), mean_gap, cov_gap]
     if not all(math.isfinite(v) for v in scalars if isinstance(v, float)):

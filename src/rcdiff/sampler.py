@@ -79,8 +79,10 @@ _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
 
 
-def backward_steps(schedule: DiffusionSchedule) -> list:
-    """Step sizes of the discretization, final partial step included."""
+def backward_grid(schedule: DiffusionSchedule) -> list:
+    """The discretization as ``(dt, t)`` pairs in step order: each step's
+    size, the final partial step included, and the time it evaluates the
+    score at, ``T`` less the steps before it."""
     span = schedule.terminal_time - schedule.t0
     n_exact = span / schedule.eta
     k = int(np.floor(n_exact + _STEP_TOL))
@@ -88,24 +90,18 @@ def backward_steps(schedule: DiffusionSchedule) -> list:
     rem = span - k * schedule.eta
     if rem > _STEP_TOL * schedule.eta:
         steps.append(rem)
-    return steps
-
-
-def _score_times(schedule: DiffusionSchedule, steps) -> list:
-    """The time each step evaluates the score at: T less the steps before it."""
-    times, t_bwd = [], 0.0
+    grid, t_bwd = [], 0.0
     for dt in steps:
-        times.append(schedule.terminal_time - t_bwd)
+        grid.append((dt, schedule.terminal_time - t_bwd))
         t_bwd += dt
-    return times
+    return grid
 
 
 def off_span_variance(schedule: DiffusionSchedule) -> float:
     """Variance ``v_K`` of each off-span coordinate after the last step:
     ``v_0 = 1`` and ``v_{k+1} = (1 + dt_k/2 - dt_k/h(t_k))^2 v_k + dt_k``."""
-    steps = backward_steps(schedule)
     v = 1.0
-    for dt, t in zip(steps, _score_times(schedule, steps)):
+    for dt, t in backward_grid(schedule):
         v = (1.0 + dt / 2 - dt / float(h_of(t))) ** 2 * v + dt
     return v
 
@@ -130,8 +126,7 @@ def chain_law(score, targets, schedule: DiffusionSchedule) -> tuple[np.ndarray, 
     probes = np.tile(np.vstack([np.zeros(d), eye]), (T, 1))
     y = np.repeat(targets, d + 1)
     mu, C = np.zeros((T, d)), np.tile(eye, (T, 1, 1))
-    steps = backward_steps(schedule)
-    for k, (dt, t) in enumerate(zip(steps, _score_times(schedule, steps))):
+    for k, (dt, t) in enumerate(backward_grid(schedule)):
         s = score(probes, y, t).reshape(T, d + 1, d)
         m = s[:, 0]
         # Row i of F^T is dt (s(e_i) - m) plus the diagonal (1 + dt/2) e_i.
@@ -221,8 +216,7 @@ def _euler(score, a, rows, schedule, rng) -> np.ndarray:
     x = rng.standard_normal((rows, score.D))
     y = np.full(rows, a)
     noise = np.empty_like(x)
-    steps = backward_steps(schedule)
-    for k, (dt, t) in enumerate(zip(steps, _score_times(schedule, steps))):
+    for k, (dt, t) in enumerate(backward_grid(schedule)):
         drift = score(x, y, t)
         # The noise buffer holds x / 2 until this step's noise is drawn.
         np.multiply(x, 0.5, out=noise)

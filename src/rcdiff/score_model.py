@@ -85,11 +85,8 @@ class _EncoderDecoderScore:
 
     def __call__(self, x, y, t):
         x = np.asarray(x, dtype=float)
-        s, _ = self._forward(np.atleast_2d(x), y, t)
+        s, _ = self._decoded(np.atleast_2d(x), self.params["V"], y, t)
         return s[0] if x.ndim == 1 else s
-
-    def _forward(self, X, y, t):
-        return self._decoded(X, self.params["V"], y, t)
 
     def _decoded(self, X, W, y, t):
         """``(psi(X W, y, t) W^T - X) / h(t)`` with the cache of the head."""
@@ -113,7 +110,7 @@ class _EncoderDecoderScore:
         ``dL/dV = (w e)^T psi + X^T dL/du``.
         """
         Xp, target = _noised(X, t, eps)
-        s, (h, psi, cache) = self._forward(Xp, y, t)
+        s, (h, psi, cache) = self._decoded(Xp, self.params["V"], y, t)
         e = s - target
         w = (2.0 / h)[:, None]
         grads, du = self._psi_grads(cache, w * (e @ self.params["V"]))

@@ -1,12 +1,13 @@
 """Command-line harness: exit codes, artifacts, idempotence, figures."""
 
+import csv
 import os
 
 import pytest
 
 from rcdiff import io
 from rcdiff.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
-from rcdiff.metrics import HISTOGRAM_BINS
+from rcdiff.figures import HISTOGRAM_BINS
 from rcdiff.validate import CHECKS
 
 SMOKE = """
@@ -270,8 +271,18 @@ class TestFiguresCommand:
             assert svg.startswith("<svg") and "polyline" in svg
         tables = sorted(figs.glob("hist_a*.csv"))
         assert [p.name for p in tables] == ["hist_a0.csv", "hist_a2.csv"]
+        edges = set()
         for path in tables:
-            assert len(path.read_text().splitlines()) == 1 + HISTOGRAM_BINS  # header + bins
+            with open(path, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["bin_lo", "bin_hi", "count"] and len(rows) == HISTOGRAM_BINS
+            # Every sample of the target, pooled over seeds (one seed of sample.n = 256).
+            assert sum(int(count) for _, _, count in rows) == 256
+            assert all(lo == prev_hi for (lo, _, _), (_, prev_hi, _) in zip(rows[1:], rows))
+            edges.add(tuple(float(v) for v in [rows[0][0]] + [hi for _, hi, _ in rows]))
+        # One set of bins, shared by every target, strictly increasing.
+        [shared] = edges
+        assert all(lo < hi for lo, hi in zip(shared, shared[1:]))
 
     def test_figures_read_no_manifest(self, smoke_cfg):
         cfg, out = smoke_cfg

@@ -213,6 +213,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="score.hidden"):
             RunConfig(values={"score.hidden": hidden})
 
+    @pytest.mark.parametrize("key, value", [
+        ("world.D", "8"), ("sample.n", True), ("sweep.a", 2.0), ("sample.n", 64.5),
+        ("sweep.seeds", [0.5]), ("score.hidden", [16.5]),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, key, value):
+        # Values given directly, not parsed from text, are checked against
+        # their key's type when the config is built, not when a stage runs.
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(values={key: value})
+
     @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5])
     def test_lr_decay_outside_unit_interval_rejected(self, decay):
         with pytest.raises(ConfigError, match="lr_decay"):

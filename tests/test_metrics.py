@@ -1,18 +1,19 @@
-"""Evaluation metrics: angles, deviations, suboptimality, histograms, the record."""
+"""Evaluation metrics: angles, deviations, suboptimality, the record."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from rcdiff.errors import DimensionError, ValidationError
-from rcdiff import metrics
+from rcdiff import io, metrics
+from rcdiff.figures import HISTOGRAM_BINS, _emit_histograms
 from rcdiff.metrics import (
     build_metrics_report,
     e1_exact_gaussian,
     moment_discrepancy,
     off_support_deviation,
-    reward_histogram,
     subopt_decomposition,
     subspace_angle,
     suboptimality,
@@ -243,28 +244,24 @@ class TestMomentDiscrepancy:
 
 
 class TestRewardHistogram:
-    def test_single_point_single_bin(self):
-        w = make_world(D=4, d=2, seed=0)
-        x = (w.A @ np.array([0.5, -0.5])).reshape(1, -1)
-        counts, edges = reward_histogram(x, w)
-        bins = metrics.HISTOGRAM_BINS
-        assert counts.shape == (bins,) and edges.shape == (bins + 1,)
-        assert np.count_nonzero(counts) == 1 and counts.sum() == 1
+    """The one reward histogram, ``figures/hist_a*.csv``, on a hand-made run."""
 
-    def test_counts_sum_and_monotone_edges(self):
+    def test_counts_sum_and_monotone_edges(self, tmp_path):
         w = make_world(D=4, d=2, seed=1)
         X = np.random.default_rng(2).standard_normal((1000, 2)) @ w.A.T
-        counts, edges = reward_histogram(X, w)
-        assert counts.sum() == 1000
+        seed_dir = tmp_path / "seed_0"
+        seed_dir.mkdir()
+        io.save_world(seed_dir / "world.rctb", w)
+        io.write_matrix(seed_dir / f"samples_a{io.a_tag(0.0)}.bin", X)
+        out = tmp_path / "figures"
+        out.mkdir()
+        _emit_histograms(tmp_path, out, [{"a": 0.0, "seed": 0}], lambda msg: None)
+        with open(out / f"hist_a{io.a_tag(0.0)}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["bin_lo", "bin_hi", "count"] and len(rows) == HISTOGRAM_BINS
+        assert sum(int(count) for _, _, count in rows) == 1000
+        edges = np.array([float(rows[0][0])] + [float(hi) for _, hi, _ in rows])
         assert np.all(np.diff(edges) > 0)
-
-    def test_standard_normal_reward_mean(self):
-        w = make_world(D=6, d=3, offsupport_coeff=0.0, seed=3)
-        z = np.random.default_rng(4).standard_normal((100_000, 3))
-        # theta* has unit norm, so on-support rewards are standard normal.
-        counts, edges = reward_histogram(z @ w.A.T, w)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        assert abs(np.sum(centers * counts) / counts.sum()) < 0.02
 
 
 class TestMetricsReport:
@@ -292,13 +289,10 @@ class TestMetricsReport:
         record = self._report()
         assert sorted(record) == [
             "a", "avg_reward", "distro_shift", "distro_shift_kind", "e1", "e2", "e3",
-            "histogram", "moment_discrepancy", "n", "off_support_mean",
+            "moment_discrepancy", "n", "off_support_mean",
             "subopt", "subspace_angle",
         ]
         assert sorted(record["moment_discrepancy"]) == ["cov_gap", "mean_gap"]
-        assert sorted(record["histogram"]) == ["counts", "edges"]
         assert record["distro_shift_kind"] == "known-sigma-surrogate"
         assert (record["a"], record["n"]) == (2.0, 40)
         assert record["subopt"] == record["a"] - record["avg_reward"]
-        assert sum(record["histogram"]["counts"]) == 40
-        assert len(record["histogram"]["edges"]) == metrics.HISTOGRAM_BINS + 1

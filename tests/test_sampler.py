@@ -12,8 +12,7 @@ from rcdiff.oracle import (
 )
 from rcdiff.sampler import (
     CHUNK_SIZE,
-    _score_times,
-    backward_steps,
+    backward_grid,
     chain_law,
     off_span_variance,
     run_backward,
@@ -41,26 +40,28 @@ def _each_path(D, d):
 
 
 class TestBackwardSteps:
+    """The ``(dt, t)`` pairs of ``backward_grid``."""
+
     def test_integral_ratio_has_no_partial_step(self):
         sched = DiffusionSchedule(terminal_time=10.0, t0=0.01, eta=0.005)
-        steps = backward_steps(sched)
+        steps = [dt for dt, _ in backward_grid(sched)]
         assert len(steps) == 1998
         assert all(s == 0.005 for s in steps)
 
     def test_remainder_becomes_final_partial_step(self):
         sched = DiffusionSchedule(terminal_time=1.0, t0=0.013, eta=0.01)
-        steps = backward_steps(sched)
+        steps = [dt for dt, _ in backward_grid(sched)]
         assert len(steps) == 99
         np.testing.assert_allclose(sum(steps), 1.0 - 0.013, atol=1e-12)
         assert steps[-1] < 0.01
 
     def test_degenerate_window_has_no_steps(self):
         sched = DiffusionSchedule(terminal_time=2.0, t0=2.0, eta=0.5)
-        assert backward_steps(sched) == []
+        assert backward_grid(sched) == []
 
-    def test_score_times_are_left_endpoints(self):
+    def test_times_are_left_endpoints(self):
         sched = DiffusionSchedule(terminal_time=1.0, t0=0.013, eta=0.01)
-        times = _score_times(sched, backward_steps(sched))
+        times = [t for _, t in backward_grid(sched)]
         assert times[0] == 1.0
         np.testing.assert_allclose(times, 1.0 - 0.01 * np.arange(99), atol=1e-12)
 
@@ -200,7 +201,7 @@ class TestChainLaw:
 
     def test_constant_coefficients_give_geometric_series(self):
         c, b, dt = 3.0, np.array([0.5, -1.0, 2.0]), 0.05
-        K = len(backward_steps(self.SCHED))
+        K = len(backward_grid(self.SCHED))
         assert K == 38
         # F = f I at every step: mu_K = dt a b (1 + f + ... + f^(K-1)) and
         # C_K = f^(2K) I + dt (1 + f^2 + ... + f^(2(K-1))) I.
@@ -239,7 +240,7 @@ class TestChainLaw:
 
         run_backward(Counting(-np.eye(2), [1.0, 2.0]), [0.0, 1.0, 2.0], 2 * CHUNK_SIZE, self.SCHED,
                      seeds=[0, 1, 2])
-        assert rows == [3 * (2 + 1)] * len(backward_steps(self.SCHED))
+        assert rows == [3 * (2 + 1)] * len(backward_grid(self.SCHED))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_step_and_target(self):
@@ -287,7 +288,7 @@ class TestStackedTargets:
         Counting.D = D
         span = type("CountingSpan", (Counting,), {"D": d, "Q": _basis(D, d)})
         targets, n = [0.0, 1.0, 2.0], CHUNK_SIZE + 200
-        K = len(backward_steps(self.SCHED))
+        K = len(backward_grid(self.SCHED))
         for cls in (Counting, span):
             calls = []
             run_backward(cls(), targets, n, self.SCHED, seeds=[0, 1, 2])
