@@ -62,7 +62,7 @@ SCHEMA = {
     "sample.n": (int, 2048, "generated points per cell"),
     "sweep.a": (_parse_float_list, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0], "target values"),
     "sweep.seeds": (_parse_int_list, [0, 1, 2, 3, 4], "root seeds"),
-    "metrics.n_ref": (int, 20000, "reference draws for the decomposition"),
+    "metrics.n_ref": (int, 20000, "reference draws for the mean in e2"),
     "out.dir": (str, "runs/default", "output directory"),
 }
 
@@ -107,6 +107,14 @@ class RunConfig:
                 raise ConfigError(f"unknown key {k!r}")
             resolved[k] = v
         self._validate(resolved)
+        # Equal values get equal digests: 10 and 10.0, (0, 2) and [0.0, 2.0].
+        for key, (parser, _, _) in SCHEMA.items():
+            if parser is float:
+                resolved[key] = float(resolved[key])
+            elif parser is _parse_float_list:
+                resolved[key] = [float(x) for x in resolved[key]]
+            elif parser is _parse_int_list:
+                resolved[key] = list(resolved[key])
         object.__setattr__(self, "values", resolved)
 
     @staticmethod

@@ -7,12 +7,11 @@ deviation, plus, per target value, the reward histogram of its samples
 pooled over seeds: ``HISTOGRAM_BINS`` uniform bins, shared by every target,
 over the range of all the run's rewards.  These are the run's only reward
 histograms.  It reads ``metrics.csv`` and each seed's ``world.rctb`` and
-samples only.
+samples only, and writes its tables through ``io.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from pathlib import Path
 
@@ -64,12 +63,7 @@ def emit_figures(run_dir, log=lambda msg: None) -> Path:
     curves = aggregate_curves(rows)
     for column, label in CURVES:
         table = curves[column]
-        path = out / f"curve_{column}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a", "mean", "err"])
-            for a, mean, err in table:
-                w.writerow([repr(a), repr(mean), repr(err)])
+        io.write_csv(out / f"curve_{column}.csv", ["a", "mean", "err"], table)
         render_line_plot(
             out / f"curve_{column}.svg",
             [Series(name=label, x=[r[0] for r in table], y=[r[1] for r in table],
@@ -99,12 +93,8 @@ def _emit_histograms(run_dir, out, rows, log) -> None:
     series = []
     for a in a_values:
         counts, edges = np.histogram(rewards[a], bins=HISTOGRAM_BINS, range=(lo, hi))
-        path = out / f"hist_a{io.a_tag(a)}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_lo", "bin_hi", "count"])
-            for i, c in enumerate(counts):
-                w.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+        io.write_csv(out / f"hist_a{io.a_tag(a)}.csv", ["bin_lo", "bin_hi", "count"],
+                     zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
         centers = 0.5 * (edges[:-1] + edges[1:])
         series.append(Series(name=f"a={a:g}", x=list(centers), y=list(counts.astype(float))))
     render_line_plot(

@@ -9,8 +9,10 @@ Two little-endian binary containers cover all numeric artifacts:
   block: u32 name length, name, u32 rank, u64 dims, float64 data.
 
 JSON artifacts are written with sorted keys and a trailing newline so
-byte-identical reruns are possible.  ``rcdiff.pipeline`` builds the run's
-manifest; ``verify_manifest`` checks its table of sha256 per file.
+byte-identical reruns are possible; CSV tables go through ``write_csv``.
+Every writer here replaces its file atomically from ``<name>.tmp``.
+``rcdiff.pipeline`` builds the run's manifest; ``verify_manifest`` checks
+its table of sha256 per file.
 """
 
 from __future__ import annotations
@@ -63,22 +65,31 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=24).reshape(n, d).copy()
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` line, then each of ``rows`` as ``repr`` of its
+    numbers, with ``\\r\\n`` line ends: a default CSV writer's layout.
+    Rows stream to ``<path>.tmp``, which then replaces ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    os.replace(tmp, path)
+
+
 def export_csv(path, X: np.ndarray, y: np.ndarray) -> None:
     """Human-readable companion export: x0..x{D-1}, y.
 
-    Values are ``repr`` of the float64 entries and lines end in ``\\r\\n``,
-    the layout of a default ``csv.writer``.  Rows are formatted and written
-    in small blocks: the Python floats of a whole matrix would raise the
-    process's peak memory, and allocator pools keep part of it afterwards.
+    Rows reach ``write_csv`` as Python floats made in small blocks: those of
+    a whole matrix would raise the process's peak memory, and allocator
+    pools keep part of it afterwards.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     cols = [X, np.asarray(y, dtype=float).reshape(-1, 1)]
     header = [f"x{i}" for i in range(X.shape[1])] + ["y"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, X.shape[0], _CSV_BLOCK_ROWS):
-            block = np.hstack([c[lo: lo + _CSV_BLOCK_ROWS] for c in cols]).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
+    write_csv(path, header, (
+        row for lo in range(0, X.shape[0], _CSV_BLOCK_ROWS)
+        for row in np.hstack([c[lo: lo + _CSV_BLOCK_ROWS] for c in cols]).tolist()))
 
 
 # ---------------------------------------------------------------------------

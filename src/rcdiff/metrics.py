@@ -4,9 +4,11 @@ Covers subspace recovery (projector-difference Frobenius angle), support
 fidelity (mean orthogonal distance), reward quality (suboptimality against
 the target value and its three-part decomposition into reward-estimation,
 on-support, and off-support errors), and moment discrepancies against a
-reference Gaussian law.  The helpers take the generated points as an
-(n, D) array.  Reward histograms are drawn from the pooled samples of a
-whole run, not per cell: see ``figures``.
+reference Gaussian law.  The reward-estimation error is in closed form;
+only the on-support error's reference mean is a Monte Carlo estimate.
+The helpers take the generated points as an (n, D) array.  Reward
+histograms are drawn from the pooled samples of a whole run, not per
+cell: see ``figures``.
 
 ``build_metrics_report`` gathers them for one (seed, target) cell into the
 record that the pipeline writes as ``metrics_a<tag>.json``: a plain dict
@@ -63,16 +65,15 @@ class Decomposition:
 
     With ``mu(a)`` the mean of the reference's conditional latent law
     (the oracle's ``beta_hat`` and ``nu``), ``|subopt| <= e1 + e2 + e3 +
-    |a - beta_hat^T mu(a)|`` up to the reference mean's Monte Carlo
-    error.  The last term is the label shrinkage ``a nu^2 / (beta_hat^T
-    Sigma beta_hat + nu^2)``, so ``e1 + e2 + e3`` alone does not bound it
-    at ``a != 0``.
+    |a - beta_hat^T mu(a)|`` up to the Monte Carlo error of e2's
+    reference mean; ``e1`` is exact.  The last term is the label
+    shrinkage ``a nu^2 / (beta_hat^T Sigma beta_hat + nu^2)``, so ``e1 +
+    e2 + e3`` alone does not bound it at ``a != 0``.
     """
 
     e1: float                 # reward-estimation error on the target law
     e2: float                 # on-support generation error
     e3: float                 # off-support reward magnitude
-    e1_se: float = 0.0
     e2_se: float = 0.0
 
 
@@ -86,19 +87,17 @@ def subopt_decomposition(
     *,
     seed,
 ) -> Decomposition:
-    """Estimate the error decomposition with ``n_ref`` reference draws.
+    """Compute the error decomposition of the points ``X`` at target ``a``.
 
-    The reference population comes from the label-conditioned latent law
-    embedded through the true subspace; the off-support term is reported as
-    a magnitude regardless of the world's reward sign convention.
+    ``e1`` is ``e1_exact_gaussian``.  ``e2`` compares the generated points'
+    on-support reward with that of ``n_ref`` reference draws from the
+    label-conditioned latent law embedded through the true subspace; the
+    off-support term is reported as a magnitude regardless of the world's
+    reward sign convention.
     """
     rng = np.random.default_rng(seed)
     z_ref = sample_conditional_latents(oracle, a, n_ref, rng)
     x_ref = z_ref @ world.A.T
-
-    gap = x_ref @ (est.theta_hat - world.theta_star)
-    e1 = float(np.mean(np.abs(gap)))
-    e1_se = float(np.std(np.abs(gap), ddof=1) / math.sqrt(n_ref))
 
     g_ref = x_ref @ world.theta_star
     x_par, x_perp = decompose(world, X)
@@ -108,7 +107,7 @@ def subopt_decomposition(
     e2_se = float(math.hypot(np.std(g_ref, ddof=1) / math.sqrt(len(g_ref)), gen_se))
 
     e3 = float(world.offsupport_coeff * np.mean(np.sum(x_perp * x_perp, axis=1)))
-    return Decomposition(e1=e1, e2=e2, e3=e3, e1_se=e1_se, e2_se=e2_se)
+    return Decomposition(e1=e1_exact_gaussian(world, est, oracle, a), e2=e2, e3=e3, e2_se=e2_se)
 
 
 def e1_exact_gaussian(
@@ -117,7 +116,8 @@ def e1_exact_gaussian(
     oracle: GaussianDesignOracle,
     a: float,
 ) -> float:
-    """Closed form of the reward-estimation error (folded normal mean)."""
+    """E|(theta_hat - theta*)^T A z| over the oracle's conditional latent
+    law of z at ``a``: the mean of a folded normal, in closed form."""
     mean, cov = conditional_latent_law(oracle, a)
     v = world.A.T @ (est.theta_hat - world.theta_star)
     m = float(v @ mean)

@@ -178,7 +178,7 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
         for seed in cfg["sweep.seeds"]:
             rows.extend(_run_seed(cfg, seed, out, manifest, _part(trained, str(seed)), log))
         csv_path = out / "metrics.csv"
-        _write_csv(csv_path, rows)
+        io.write_csv(csv_path, CSV_COLUMNS, (row.values() for row in rows))
         _add_file(manifest, out, csv_path)
         complete = True
     except BaseException as exc:
@@ -315,14 +315,6 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
             f"offsupport {row['offsupport']:.3f}")
         rows.append(row)
     return rows
-
-
-def _write_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
 def read_metrics_csv(path) -> list:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT = 640, 440  # of every plot, in pixels
+N_TICKS = 5  # per axis
 
 
 @dataclass(frozen=True)
@@ -15,12 +17,9 @@ class Series:
     err: list | None = None   # half-width of the error bar, same length as y
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    step = span / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list:
+    step = (hi - lo) / (N_TICKS - 1)
+    return [lo + i * step for i in range(N_TICKS)]
 
 
 def _fmt(v: float) -> str:
@@ -33,12 +32,10 @@ def render_line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 440,
 ) -> None:
     """Write a minimal line plot; output depends only on the inputs."""
     ml, mr, mt, mb = 64, 16, 36, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     xs = [v for s in series for v in s.x]
     ys = []
@@ -60,9 +57,9 @@ def render_line_plot(
         return mt + ph - (v - y_lo) / (y_hi - y_lo) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{ml}" y="{mt - 14}" font-size="13">{title}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
@@ -79,7 +76,7 @@ def render_line_plot(
             f'<text x="{ml - 8}" y="{py(ty) + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>'
         )
     out.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
     )
     out.append(
         f'<text x="14" y="{mt + ph / 2:.0f}" text-anchor="middle" '

@@ -19,7 +19,7 @@ from scipy import stats
 from rcdiff import io
 from rcdiff.config import RunConfig
 from rcdiff.figures import emit_figures
-from rcdiff.metrics import subopt_decomposition, subspace_angle
+from rcdiff.metrics import e1_exact_gaussian, subspace_angle
 from rcdiff.oracle import (
     AnalyticScore,
     DiffusionSchedule,
@@ -186,11 +186,7 @@ def test_criterion_08_ridge_and_reward_error_trend():
             e = fit_ridge(lab, lam=1.0)
             oracle = GaussianDesignOracle(world=w, beta_hat=e.beta_hat(w),
                                           nu=default_nu(64))
-            dec = subopt_decomposition(
-                np.zeros((1, 64)), w, e, oracle, a=2.0, n_ref=100_000,
-                seed=3000 + seed,
-            )
-            errs.append(dec.e1)
+            errs.append(e1_exact_gaussian(w, e, oracle, a=2.0))
         medians.append(float(np.median(errs)))
     assert medians[0] >= medians[1] >= medians[2]
     _verdict(8, time.perf_counter() - start, 300,

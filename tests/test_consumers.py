@@ -24,14 +24,12 @@ SRC = Path(rcdiff.__file__).resolve().parent
 # the package against them, and each is to be reported next to the Monte
 # Carlo metric it predicts.
 KEPT_REFERENCES = {
-    "e1_exact_gaussian": "folded-normal closed form of the Monte Carlo e1",
     "target_covariance": "Sigma_Pa, the input of the shift term tr(Sigma_lambda^-1 Sigma_Pa)",
 }
 
 # Dataclass fields kept without a package reader: tests bound a Monte Carlo
 # metric with each, and each is to be reported beside that metric.
 KEPT_FIELDS = {
-    "Decomposition.e1_se": "tests bound e1 with it; to be reported beside e1",
     "Decomposition.e2_se": "tests bound e2 with it; to be reported beside e2",
 }
 

@@ -61,6 +61,27 @@ class TestMatrixContainer:
                 w.writerow([repr(float(v)) for v in X[i]] + [repr(float(y[i]))])
         io.export_csv(tmp_path / "d.csv", X, y)
         assert (tmp_path / "d.csv").read_bytes() == ref.read_bytes()
+        # A mixed int/float table through the writer every CSV table uses.
+        table = [(float(v), int(c)) for v, c in zip(y, rng.integers(-10**12, 10**12, 7))]
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["value", "count"])
+            w.writerows(table)
+        io.write_csv(tmp_path / "t.csv", ["value", "count"], iter(table))
+        assert (tmp_path / "t.csv").read_bytes() == ref.read_bytes()
+
+    def test_failed_csv_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io.write_csv(path, ["a", "b"], [(1.0, 2), (3.0, 4)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (5.0, 6)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            io.write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
 
 
 class TestTensorBlocks:
@@ -248,6 +269,17 @@ class TestConfig:
         c3 = RunConfig(values={"world.D": 16, "world.d": 2})
         assert c1.digest() == c2.digest()
         assert c1.digest() != c3.digest()
+
+    @pytest.mark.parametrize("given, same", [
+        ({"schedule.T": 10}, {"schedule.T": 10.0}),
+        ({"sweep.a": [0, 2]}, {"sweep.a": [0.0, 2.0]}),
+        ({"sweep.a": (0.0, 2.0), "sweep.seeds": (0, 1)},
+         {"sweep.a": [0.0, 2.0], "sweep.seeds": [0, 1]}),
+    ])
+    def test_digest_does_not_depend_on_number_types(self, given, same):
+        c1, c2 = RunConfig(values=given), RunConfig(values=same)
+        assert c1.values == c2.values
+        assert c1.digest() == c2.digest()
 
     def test_load_config_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -155,9 +155,12 @@ class TestDecomposition:
         theta = w.theta_star + 0.2 * rng.standard_normal(8)
         est = _unit_est(w, theta)
         X = rng.standard_normal((10, 3)) @ w.A.T
-        dec = subopt_decomposition(X, w, est, orc, a=2.0, n_ref=400_000, seed=5)
-        exact = e1_exact_gaussian(w, est, orc, a=2.0)
-        assert abs(dec.e1 - exact) <= 4 * dec.e1_se
+        dec = subopt_decomposition(X, w, est, orc, a=2.0, seed=5)
+        assert dec.e1 == e1_exact_gaussian(w, est, orc, a=2.0)
+        # Monte Carlo over the target law x = A z, z ~ the conditional latent law.
+        z = sample_conditional_latents(orc, 2.0, 400_000, np.random.default_rng(5))
+        gap = np.abs(z @ w.A.T @ (theta - w.theta_star))
+        assert abs(gap.mean() - dec.e1) <= 4 * gap.std(ddof=1) / math.sqrt(gap.size)
 
     def test_same_law_batch_kills_e2(self):
         w, orc = self._setup(seed=6)
@@ -296,3 +299,6 @@ class TestMetricsReport:
         assert record["distro_shift_kind"] == "known-sigma-surrogate"
         assert (record["a"], record["n"]) == (2.0, 40)
         assert record["subopt"] == record["a"] - record["avg_reward"]
+        w = make_world(D=6, d=2, seed=0)
+        orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
+        assert record["e1"] == e1_exact_gaussian(w, _unit_est(w), orc, 2.0)
