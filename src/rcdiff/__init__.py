@@ -9,9 +9,6 @@ references that every learned component is tested against.
 
 from .errors import (
     ConfigError,
-    DimensionError,
-    ExtractionError,
-    RankError,
     RcdiffError,
     SamplerDivergedError,
     TrainingDivergedError,

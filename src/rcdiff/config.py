@@ -30,19 +30,11 @@ from .regression import default_nu
 from .score_model import TrainConfig
 
 
-def _parse_float_list(s: str) -> list:
-    return [float(v) for v in s.replace(",", " ").split()]
-
-
-def _parse_int_list(s: str) -> list:
-    return [int(v) for v in s.replace(",", " ").split()]
-
-
-# key -> (parser, default, description)
+# key -> (type, default, description); [int] and [float] are lists of that type.
 SCHEMA = {
     "world.D": (int, 64, "ambient dimension"),
     "world.d": (int, 16, "latent dimension"),
-    "world.sigma_diag": (_parse_float_list, [], "latent covariance diagonal ([] = identity)"),
+    "world.sigma_diag": ([float], [], "latent covariance diagonal ([] = identity)"),
     "world.offsupport_coeff": (float, 5.0, "off-support reward coefficient"),
     "world.offsupport_sign": (str, "penalty", "penalty | bonus"),
     "data.n1": (int, 65536, "unlabeled sample count"),
@@ -54,23 +46,39 @@ SCHEMA = {
     "schedule.t0": (float, 0.01, "early-stop time"),
     "schedule.eta": (float, 0.01, "backward step size"),
     "score.variant": (str, "mlp", "mlp | covering | oracle (closed form, no training)"),
-    "score.hidden": (_parse_int_list, [128, 128], "mlp hidden widths"),
+    "score.hidden": ([int], [128, 128], "mlp hidden widths"),
     "score.batch_size": (int, 64, "training batch size"),
     "score.epochs": (int, 10, "training epochs"),
     "score.learning_rate": (float, 3e-3, "Adam learning rate"),
     "score.lr_decay": (float, 0.7, "per-epoch learning-rate factor"),
     "sample.n": (int, 2048, "generated points per cell"),
-    "sweep.a": (_parse_float_list, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0], "target values"),
-    "sweep.seeds": (_parse_int_list, [0, 1, 2, 3, 4], "root seeds"),
+    "sweep.a": ([float], [0.0, 1.0, 2.0, 4.0, 8.0, 16.0], "target values"),
+    "sweep.seeds": ([int], [0, 1, 2, 3, 4], "root seeds"),
     "metrics.n_ref": (int, 20000, "reference draws for the mean in e2"),
     "out.dir": (str, "runs/default", "output directory"),
 }
 
-# The type of a value given directly, not parsed from text, by its key's
-# parser: of each item for a list key.  A float also takes an int; a bool
-# is neither.
-_ITEM_TYPES = {int: int, float: (int, float), str: str,
-               _parse_int_list: int, _parse_float_list: (int, float)}
+
+def _typed(key: str, value, text: bool = False):
+    """``value`` as ``key``'s declared type: parsed from config-file ``text``,
+    or checked when given directly (a float also takes an int; a bool is
+    neither).  Floats come back as finite ``float``, lists as ``list``."""
+    kind = SCHEMA[key][0]
+    listed = isinstance(kind, list)
+    item = kind[0] if listed else kind
+    if text:
+        value = [item(v) for v in value.replace(",", " ").split()] if listed else item(value)
+    items = value if listed else [value]
+    if (listed and not isinstance(items, (list, tuple))) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float) if item is float else item)
+            for x in items):
+        raise ConfigError(f"{key} has a value of the wrong type: {value!r}")
+    if item is float:
+        items = [float(x) for x in items]
+        # nan and inf pass the range checks of _validate and fail only at run time.
+        if not np.all(np.isfinite(items)):
+            raise ConfigError(f"{key} must be finite")
+    return list(items) if listed else items[0]
 
 
 def parse_config_text(text: str) -> dict:
@@ -88,9 +96,8 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser = SCHEMA[key][0]
         try:
-            values[key] = parser(val)
+            values[key] = _typed(key, val, text=True)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -106,28 +113,16 @@ class RunConfig:
             if k not in SCHEMA:
                 raise ConfigError(f"unknown key {k!r}")
             resolved[k] = v
+        # Equal values get equal digests: 10 and 10.0, (0, 2) and [0.0, 2.0],
+        # and a reward.nu of "0.1250" and "0.125".
+        resolved = {k: _typed(k, v) for k, v in resolved.items()}
         self._validate(resolved)
-        # Equal values get equal digests: 10 and 10.0, (0, 2) and [0.0, 2.0].
-        for key, (parser, _, _) in SCHEMA.items():
-            if parser is float:
-                resolved[key] = float(resolved[key])
-            elif parser is _parse_float_list:
-                resolved[key] = [float(x) for x in resolved[key]]
-            elif parser is _parse_int_list:
-                resolved[key] = list(resolved[key])
+        if resolved["reward.nu"] != "auto":
+            resolved["reward.nu"] = repr(float(resolved["reward.nu"]))
         object.__setattr__(self, "values", resolved)
 
     @staticmethod
     def _validate(v: dict) -> None:
-        for key, (parser, _, _) in SCHEMA.items():
-            listed = parser in (_parse_int_list, _parse_float_list)
-            items = v[key] if listed else [v[key]]
-            if (listed and not isinstance(items, (list, tuple))) or any(
-                    isinstance(x, bool) or not isinstance(x, _ITEM_TYPES[parser]) for x in items):
-                raise ConfigError(f"{key} has a value of the wrong type: {v[key]!r}")
-            # nan and inf pass the range checks below and fail only at run time.
-            if parser in (float, _parse_float_list) and not np.all(np.isfinite(items)):
-                raise ConfigError(f"{key} must be finite")
         if not 1 <= v["world.d"] <= v["world.D"]:
             raise ConfigError("need 1 <= world.d <= world.D")
         if v["world.sigma_diag"]:

@@ -1,20 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``ValidationError``: an argument or a stored file fails a precondition
+(shape, rank, symmetry, definiteness, range, format).  ``ConfigError``: a
+run configuration is malformed.  ``TrainingDivergedError`` and
+``SamplerDivergedError``: a computation stopped being finite at a step.
+"""
 
 
 class RcdiffError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionError(RcdiffError, ValueError):
-    """Incompatible or invalid array dimensions."""
-
-
 class ValidationError(RcdiffError, ValueError):
-    """An input failed a mathematical precondition (symmetry, PSD, range)."""
-
-
-class RankError(RcdiffError, ValueError):
-    """A linear system is numerically singular."""
+    """An input failed a precondition (shape, rank, symmetry, PSD, range)."""
 
 
 class ConfigError(RcdiffError, ValueError):
@@ -48,7 +46,3 @@ class SamplerDivergedError(RcdiffError, RuntimeError):
         super().__init__(f"sampler state became non-finite at step {step} (target a={a:g})")
         self.step = step
         self.a = a
-
-
-class ExtractionError(RcdiffError, ValueError):
-    """The stored decoder matrix is rank deficient."""

@@ -10,7 +10,8 @@ Two little-endian binary containers cover all numeric artifacts:
 
 JSON artifacts are written with sorted keys and a trailing newline so
 byte-identical reruns are possible; CSV tables go through ``write_csv``.
-Every writer here replaces its file atomically from ``<name>.tmp``.
+Every writer here streams to ``<name>.tmp``, which replaces the file when
+the write ends; a write that fails removes its ``.tmp``.
 ``rcdiff.pipeline`` builds the run's manifest; ``verify_manifest`` checks
 its table of sha256 per file.
 """
@@ -35,11 +36,19 @@ FORMAT_VERSION = 1
 _CSV_BLOCK_ROWS = 32
 
 
-def _atomic_write(path, payload: bytes) -> None:
+@contextmanager
+def _replacing(path, mode: str = "wb", **open_args):
+    """Yield a handle on ``<path>.tmp``, which replaces ``path`` when the
+    block ends and is removed when the block or the replace raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +57,9 @@ def _atomic_write(path, payload: bytes) -> None:
 
 def write_matrix(path, X: np.ndarray) -> None:
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype="<f8")))
-    header = MATRIX_MAGIC + struct.pack("<IQQ", FORMAT_VERSION, *X.shape)
-    _atomic_write(path, header + X.tobytes())
+    with _replacing(path) as fh:
+        fh.write(MATRIX_MAGIC + struct.pack("<IQQ", FORMAT_VERSION, *X.shape))
+        fh.write(X.tobytes())
 
 
 def read_matrix(path) -> np.ndarray:
@@ -69,12 +79,9 @@ def write_csv(path, header, rows) -> None:
     """Write the ``header`` line, then each of ``rows`` as ``repr`` of its
     numbers, with ``\\r\\n`` line ends: a default CSV writer's layout.
     Rows stream to ``<path>.tmp``, which then replaces ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-    os.replace(tmp, path)
 
 
 def export_csv(path, X: np.ndarray, y: np.ndarray) -> None:
@@ -108,7 +115,8 @@ def write_blocks(path, meta: dict, blocks: dict) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    _atomic_write(path, b"".join(parts))
+    with _replacing(path) as fh:
+        fh.writelines(parts)
 
 
 def read_blocks(path) -> tuple[dict, dict]:
@@ -243,8 +251,8 @@ def save_samples(path_prefix, X) -> str:
 # ---------------------------------------------------------------------------
 
 def write_json(path, obj) -> None:
-    payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, payload.encode())
+    with _replacing(path) as fh:
+        fh.write((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
 def read_json(path):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .oracle import (
     GaussianDesignOracle,
     conditional_latent_law,
@@ -40,7 +40,7 @@ def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
     V = np.asarray(V, dtype=float)
     A = np.asarray(A, dtype=float)
     if V.shape != A.shape:
-        raise DimensionError(f"shape mismatch: {V.shape} vs {A.shape}")
+        raise ValidationError(f"shape mismatch: {V.shape} vs {A.shape}")
     _check_orthonormal(V, tol=1e-8, name="V")
     _check_orthonormal(A, tol=1e-8, name="A")
     diff = V @ V.T - A @ A.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ValidationError
+from .errors import ValidationError
 from .oracle import GaussianDesignOracle, conditional_latent_law
 from .world import LabeledDataset, SubspaceWorld
 
@@ -61,7 +61,7 @@ def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
     """Solve the ridge normal equations with ``np.linalg.solve``.
 
     ``lam = 0`` is accepted only when the Gram matrix is numerically full
-    rank (condition estimate below 1e12); otherwise a ``RankError`` is
+    rank (condition estimate below 1e12); otherwise a ``ValidationError`` is
     raised rather than returning a silently unstable solution.
     """
     if not (np.isfinite(lam) and lam >= 0):
@@ -72,15 +72,15 @@ def fit_ridge(data: LabeledDataset, lam: float = 1.0) -> RidgeEstimate:
     if lam == 0.0:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > MAX_COND:
-            raise RankError(f"unregularized system is rank deficient (cond {cond:.2e})")
+            raise ValidationError(f"unregularized system is rank deficient (cond {cond:.2e})")
     rhs = X.T @ y
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise RankError(str(exc)) from exc
+        raise ValidationError(str(exc)) from exc
     resid = np.linalg.norm(gram @ theta - rhs)
     if resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
-        raise RankError(f"normal-equation residual too large ({resid:.3e})")
+        raise ValidationError(f"normal-equation residual too large ({resid:.3e})")
     return RidgeEstimate(
         theta_hat=theta, lam=lam, n2=data.n, sigma_hat_lambda=gram / data.n
     )

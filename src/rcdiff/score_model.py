@@ -47,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError, ValidationError
 from .oracle import GaussianDesignOracle, DiffusionSchedule, alpha_of, analytic_score, h_of
 from .rng import derive
-from .world import LabeledDataset
+from .world import LabeledDataset, orthonormal_columns
 
 SPD_FLOOR = 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
@@ -439,10 +439,4 @@ def train(model, curated: LabeledDataset, config: TrainConfig,
 
 def extract_subspace(model) -> np.ndarray:
     """Orthonormalized decoder matrix (thin QR, span preserving)."""
-    V = model.params["V"]
-    Q, R = np.linalg.qr(V)
-    diag = np.diag(R)
-    scale = np.max(np.abs(diag))
-    if scale == 0.0 or np.min(np.abs(diag)) < 1e-10 * scale:
-        raise ExtractionError("decoder matrix is rank deficient")
-    return Q * np.sign(diag)
+    return orthonormal_columns(model.params["V"], "decoder matrix")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 
 ORTHO_TOL = 1e-10
 
@@ -54,16 +54,16 @@ class SubspaceWorld:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] < A.shape[1]:
-            raise DimensionError(f"A must be D x d with d <= D, got {A.shape}")
+            raise ValidationError(f"A must be D x d with d <= D, got {A.shape}")
         _check_orthonormal(A)
         S = _check_spd(self.Sigma)
         if S.shape[0] != A.shape[1]:
-            raise DimensionError("Sigma dimension does not match d")
+            raise ValidationError("Sigma dimension does not match d")
         if np.linalg.eigvalsh(S).max() > 1.0 + 1e-10:
             raise ValidationError("Sigma eigenvalues must lie in (0, 1]")
         b = np.asarray(self.beta_star, dtype=float)
         if b.shape != (A.shape[1],):
-            raise DimensionError("beta_star dimension does not match d")
+            raise ValidationError("beta_star dimension does not match d")
         if abs(np.linalg.norm(b) - 1.0) > ORTHO_TOL:
             raise ValidationError("beta_star must have unit norm")
         if self.offsupport_coeff < 0:
@@ -102,13 +102,24 @@ class LabeledDataset:
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if y.shape != (X.shape[0],):
-            raise DimensionError("y length does not match number of rows")
+            raise ValidationError("y length does not match number of rows")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+
+def orthonormal_columns(G: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Q factor of the thin QR of the D x d matrix ``G``, column signs set so
+    that R's diagonal is positive: the same span, a unique basis."""
+    Q, R = np.linalg.qr(G)
+    diag = np.diag(R)
+    scale = np.max(np.abs(diag))
+    if scale == 0.0 or np.min(np.abs(diag)) < 1e-10 * scale:
+        raise ValidationError(f"{name} is rank deficient")
+    return Q * np.sign(diag)
 
 
 def sample_orthonormal(D: int, d: int, seed) -> np.ndarray:
@@ -119,11 +130,8 @@ def sample_orthonormal(D: int, d: int, seed) -> np.ndarray:
     the output a deterministic function of the seed.
     """
     if not 1 <= d <= D:
-        raise DimensionError(f"need 1 <= d <= D, got D={D}, d={d}")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((D, d))
-    Q, R = np.linalg.qr(G)
-    return Q * np.sign(np.diag(R))
+        raise ValidationError(f"need 1 <= d <= D, got D={D}, d={d}")
+    return orthonormal_columns(np.random.default_rng(seed).standard_normal((D, d)))
 
 
 def sample_unit_sphere(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -156,15 +156,16 @@ class TestPipelineCommand:
         (out / "seed_0" / "world.rctb").mkdir(parents=True)
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_COMPUTE
         assert "compute error in stage 'seed0.world'" in capsys.readouterr().err
+        assert not (out / "seed_0" / "world.rctb.tmp").exists()
         manifest = io.read_json(out / "manifest.json")
         assert manifest["complete"] is False
 
     def test_failed_span_view_names_its_seed(self, smoke_cfg, monkeypatch, capsys):
         from rcdiff import score_model
-        from rcdiff.errors import ExtractionError
+        from rcdiff.errors import ValidationError
 
         def rank_deficient(model):
-            raise ExtractionError("decoder matrix is rank deficient")
+            raise ValidationError("decoder matrix is rank deficient")
         monkeypatch.setattr(score_model, "extract_subspace", rank_deficient)
         cfg, out = smoke_cfg
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_COMPUTE

@@ -131,3 +131,30 @@ def test_every_config_key_is_read():
     trees, _ = _trees_and_consumed()
     # A key that nothing reads is a knob that changes nothing but the digest.
     assert set(SCHEMA) - set().union(*map(_key_reads, trees)) == set()
+
+
+def _caught(tree: ast.AST) -> set:
+    """Names that the ``except`` clauses of ``tree`` catch."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            for node in ast.walk(handler.type)}
+
+
+def _sets_fields(cls: ast.ClassDef) -> bool:
+    """Whether the class's ``__init__`` assigns an attribute."""
+    return any(isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+               and any(isinstance(target, ast.Attribute) for node in ast.walk(fn)
+                       if isinstance(node, ast.Assign) for target in node.targets)
+               for fn in cls.body)
+
+
+def test_every_error_type_is_caught_or_carries_fields():
+    # An error type that no handler tells apart and that carries nothing
+    # beyond its message is a ValidationError with another name.
+    trees, _ = _trees_and_consumed()
+    caught = set().union(*map(_caught, trees))
+    errors = ast.parse((SRC / "errors.py").read_text())
+    bare = {cls.name for cls in errors.body if isinstance(cls, ast.ClassDef)
+            and cls.name not in caught and not _sets_fields(cls)}
+    assert bare == set()

@@ -82,6 +82,14 @@ class TestMatrixContainer:
         with pytest.raises(RuntimeError, match="row source failed"):
             io.write_csv(path, ["a", "b"], rows())
         assert path.read_bytes() == before
+        assert not (tmp_path / "t.csv.tmp").exists()
+
+    def test_failed_replace_leaves_no_tmp_file(self, tmp_path):
+        # A directory squatting on the target makes the final replace fail.
+        (tmp_path / "world.rctb").mkdir()
+        with pytest.raises(OSError):
+            io.write_json(tmp_path / "world.rctb", {"a": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["world.rctb"]
 
 
 class TestTensorBlocks:
@@ -152,6 +160,15 @@ class TestTensorBlocks:
         load = io.load_model if kind == "model" else io.load_world
         with pytest.raises(ValidationError, match=f"f.rctb: missing key '{key}'"):
             load(tmp_path / "f.rctb")
+
+    def test_world_of_mismatched_dimensions_names_the_file(self, tmp_path):
+        w = make_world(D=6, d=2, seed=0)
+        io.save_world(tmp_path / "w.rctb", w)
+        meta, blocks = io.read_blocks(tmp_path / "w.rctb")
+        blocks["Sigma"] = np.eye(3)
+        io.write_blocks(tmp_path / "w.rctb", meta, blocks)
+        with pytest.raises(ValidationError, match="w.rctb: Sigma dimension does not match d"):
+            io.load_world(tmp_path / "w.rctb")
 
     @pytest.mark.parametrize("cls", _EncoderDecoderScore.__subclasses__(),
                              ids=lambda cls: cls.variant)
@@ -281,6 +298,12 @@ class TestConfig:
         assert c1.values == c2.values
         assert c1.digest() == c2.digest()
 
+    def test_reward_nu_has_one_digest_per_value(self):
+        cfgs = [RunConfig(values={"reward.nu": nu}) for nu in ("0.125", "0.1250", "1.25e-1")]
+        assert {c.digest() for c in cfgs} == {cfgs[0].digest()}
+        assert cfgs[1]["reward.nu"] == "0.125" and cfgs[1].nu == 0.125
+        assert RunConfig()["reward.nu"] == "auto"
+
     def test_load_config_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("world.D = 8\nworld.d = 2\n")
@@ -288,8 +311,8 @@ class TestConfig:
         assert load_config(None)["world.D"] == 64
 
     def test_every_schema_key_has_default_and_description(self):
-        for key, (parser, default, desc) in SCHEMA.items():
-            assert callable(parser)
+        for key, (kind, default, desc) in SCHEMA.items():
+            assert kind in (int, float, str, [int], [float])
             assert desc
             RunConfig(values={key: default})  # defaults must self-validate
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rcdiff.errors import DimensionError, ValidationError
+from rcdiff.errors import ValidationError
 from rcdiff import io, metrics
 from rcdiff.figures import HISTOGRAM_BINS, _emit_histograms
 from rcdiff.metrics import (
@@ -67,7 +67,7 @@ class TestSubspaceAngle:
 
     def test_shape_and_orthonormality_errors(self):
         V = sample_orthonormal(9, 3, seed=4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match="shape mismatch"):
             subspace_angle(V, sample_orthonormal(9, 4, seed=5))
         with pytest.raises(ValidationError):
             subspace_angle(V * 2.0, V)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcdiff.errors import RankError, ValidationError
+from rcdiff.errors import ValidationError
 from rcdiff.oracle import GaussianDesignOracle, sample_conditional_latents
 from rcdiff.regression import (
     RidgeEstimate,
@@ -71,7 +71,7 @@ class TestFitRidge:
         # Subspace data is rank deficient in ambient dimension.
         w = make_world(D=8, d=2, seed=8)
         _, labeled = generate_datasets(w, n1=2, n2=64, noise_sigma=0.1, seed=9)
-        with pytest.raises(RankError):
+        with pytest.raises(ValidationError, match="rank deficient"):
             fit_ridge(labeled, lam=0.0)
 
     def test_lambda_zero_allowed_when_well_conditioned(self):

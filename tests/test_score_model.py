@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rcdiff.errors import ExtractionError, TrainingDivergedError, ValidationError
+from rcdiff.errors import TrainingDivergedError, ValidationError
 from rcdiff.oracle import (
     AnalyticScore,
     DiffusionSchedule,
@@ -369,7 +369,7 @@ class TestExtractSubspace:
     def test_rank_deficient_raises(self):
         model = CoveringScore(7, 3, nu=0.5, seed=3)
         model.params["V"][:, 2] = model.params["V"][:, 0]
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ValidationError, match="decoder matrix is rank deficient"):
             extract_subspace(model)
 
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from rcdiff.errors import DimensionError, ValidationError
+from rcdiff.errors import ValidationError
 from rcdiff.world import (
     SubspaceWorld,
     decompose,
     generate_datasets,
     make_world,
+    orthonormal_columns,
     sample_orthonormal,
     true_reward,
 )
@@ -32,7 +33,7 @@ class TestSampleOrthonormal:
                 assert abs(A[:, i] @ A[:, j]) < 1e-10
 
     def test_rejects_d_larger_than_D(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match="need 1 <= d <= D"):
             sample_orthonormal(3, 4, seed=0)
 
     def test_deterministic_in_seed(self):
@@ -45,6 +46,21 @@ class TestSampleOrthonormal:
         # any fixed coordinate over many seeds vanishes.
         firsts = np.array([sample_orthonormal(6, 2, seed=s)[:, 0] for s in range(2000)])
         assert np.max(np.abs(firsts.mean(axis=0))) < 0.05
+
+
+class TestOrthonormalColumns:
+    def test_basis_of_the_span_with_positive_r_diagonal(self):
+        G = np.random.default_rng(1).standard_normal((7, 3))
+        Q = orthonormal_columns(G)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(3), atol=1e-12)
+        R = Q.T @ G  # G = Q R, R upper triangular with a positive diagonal
+        np.testing.assert_allclose(Q @ R, G, atol=1e-12)
+        np.testing.assert_allclose(np.tril(R, -1), 0.0, atol=1e-12)
+        assert np.all(np.diag(R) > 0)
+
+    def test_rank_deficient_input_names_the_matrix(self):
+        with pytest.raises(ValidationError, match="G is rank deficient"):
+            orthonormal_columns(np.ones((5, 2)), "G")
 
 
 class TestMakeWorld:
