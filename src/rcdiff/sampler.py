@@ -45,7 +45,8 @@ The span part takes one of two paths, picked by what the score declares:
   once per step, and each chunk draws ``u = mu_K + z L_K^T`` (``L_K`` the
   Cholesky factor of ``C_K``) with one (rows, d) draw ``z``: no
   trajectory is stepped;
-* any other span view (the mlp's) is stepped with (m, d) draws.
+* any other span view (the mlp's) is stepped with (m, d) draws; the mlp's
+  view runs its head in float32 (see ``score_model.SpanScore``).
 
 So the points are lifted once, after the span state is drawn, as
 ``x = u Q^T + sqrt(v_K) (z - (z Q) Q^T)`` with one (rows, D) draw ``z`` per
@@ -73,8 +74,9 @@ from .oracle import DiffusionSchedule, h_of
 # samples an earlier revision wrote is not up to date.  Revision 2 samples a
 # trained model on its decoder span, revision 3 the oracle on its support span,
 # revision 4 draws every affine span view from its chain's exact law, revision
-# 5 steps each chunk in score calls of its own rows.
-SAMPLER_REVISION = 5
+# 5 steps each chunk in score calls of its own rows, revision 6 runs the mlp
+# span view's head in float32 (training and model files stay float64).
+SAMPLER_REVISION = 6
 _STEP_TOL = 1e-9
 CHUNK_SIZE = 1024
 

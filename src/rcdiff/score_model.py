@@ -23,7 +23,8 @@ The shared base writes the encoder ``u = X V``, the decoder, the loss with
 its gradients (the whole ``V`` gradient included) and the model file once,
 and gives each model a span view (``SpanScore``): the same score on the
 d coordinates of the decoder span, which the sampler steps in place of
-all D.
+all D.  The mlp's span view runs its head in float32; training, the
+model's own call and the model file stay float64.
 A variant writes only its head: ``_psi(u, y, t) -> (psi, cache)`` and its
 backward ``_psi_grads(cache, dL/dpsi) -> (grads, dL/du)``, and names the
 constructor arguments besides ``D``, ``d`` and ``nu`` in ``_shape_keys``.
@@ -88,10 +89,12 @@ class _EncoderDecoderScore:
         s, _ = self._decoded(np.atleast_2d(x), self.params["V"], y, t)
         return s[0] if x.ndim == 1 else s
 
-    def _decoded(self, X, W, y, t):
-        """``(psi(X W, y, t) W^T - X) / h(t)`` with the cache of the head."""
+    def _decoded(self, X, W, y, t, **head):
+        """``(psi(X W, y, t) W^T - X) / h(t)`` with the cache of the head;
+        ``head`` goes to ``_psi``, and a float32 ``psi`` is cast back first."""
         h = h_of(t)
-        psi, cache = self._psi(X @ W, y, t)
+        psi, cache = self._psi(X @ W, y, t, **head)
+        psi = psi.astype(float, copy=False)
         out = psi @ W.T
         # In place: a fresh (n, D) temporary costs more than the arithmetic.
         out -= X
@@ -149,6 +152,11 @@ class SpanScore:
     as its model does: ``run_backward`` draws the (m, d) state of such a
     score from its chain's exact law (affine) or steps it, and draws the
     rest of each point off the span (see ``rcdiff.sampler``).
+
+    A stepped (non-affine) head runs in float32 on float32 copies of its
+    weights; ``psi`` is cast back to float64 before ``psi R^T - u`` and the
+    division by ``h``, where the cancellation is.  An affine head stays
+    float64: ``chain_law`` reads its slope off differences of calls.
     """
 
     def __init__(self, model: _EncoderDecoderScore):
@@ -157,9 +165,13 @@ class SpanScore:
         self.Q = extract_subspace(model)
         self.R = self.Q.T @ model.params["V"]
         self.D = model.d
+        self._head = {} if model.affine else {
+            "weights": {k: w.astype(np.float32) for k, w in model.params.items() if k != "V"},
+            "dtype": np.float32,
+        }
 
     def __call__(self, u, y, t):
-        return self.model._decoded(u, self.R, y, t)[0]
+        return self.model._decoded(u, self.R, y, t, **self._head)[0]
 
 
 class CoveringScore(_EncoderDecoderScore):
@@ -251,16 +263,24 @@ class MlpScore(_EncoderDecoderScore):
             self.params[f"W{i}"] = rng.standard_normal((fin, fout)) * np.sqrt(2.0 / fin)
             self.params[f"b{i}"] = np.zeros(fout)
 
-    def _psi(self, u, y, t):
-        n = u.shape[0]
-        y = np.broadcast_to(np.asarray(y, dtype=float).ravel(), (n,)).astype(float)
+    def _psi(self, u, y, t, weights=None, dtype=float):
+        """The head on the features ``(u, y, t, alpha(t), h(t))``, built and
+        run in ``dtype`` with ``weights`` (default: the float64 parameters)."""
+        weights = self.params if weights is None else weights
+        n, d = u.shape
         t = np.broadcast_to(np.asarray(t, dtype=float).ravel(), (n,)).astype(float)
-        a = np.column_stack([u, y, t, alpha_of(t), h_of(t)])
+        # Filled column by column: np.column_stack would upcast to float64.
+        a = np.empty((n, d + 4), dtype)
+        a[:, :d] = u
+        a[:, d] = np.ravel(y)
+        a[:, d + 1] = t
+        a[:, d + 2] = alpha_of(t)
+        a[:, d + 3] = h_of(t)
         acts = [a]
         for i in range(1, self.n_layers + 1):
             # In place: the cache keeps every layer, and fresh (n, width) arrays page-fault.
-            a = a @ self.params[f"W{i}"]
-            a += self.params[f"b{i}"]
+            a = a @ weights[f"W{i}"]
+            a += weights[f"b{i}"]
             if i < self.n_layers:
                 np.maximum(a, 0.0, out=a)
             acts.append(a)

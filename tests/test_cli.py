@@ -488,6 +488,37 @@ def test_oracle_run_of_an_older_sampler_revision_is_sampled_again(smoke_cfg, cap
     _assert_same_run(out, out.parent / "fresh")
 
 
+def test_mlp_run_of_an_older_sampler_revision_is_sampled_again(smoke_cfg, monkeypatch, capsys):
+    # A finished mlp run written at revision 5, whose span view ran the
+    # head in float64: its model is reused and its samples are rewritten.
+    from rcdiff import pipeline
+    from rcdiff.score_model import SpanScore
+
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text() + "score.variant = mlp\n")
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "SAMPLER_REVISION", 5)
+        m.setattr(SpanScore, "__call__",
+                  lambda view, u, y, t: view.model._decoded(u, view.R, y, t)[0])
+        assert _pipeline(cfg) == EXIT_OK
+    old = io.read_json(out / "manifest.json")
+    assert old["sampler_revision"] == 5
+    capsys.readouterr()
+    assert _pipeline(cfg) == EXIT_OK
+    log = capsys.readouterr().out
+    assert "seed 0: reusing score_model.rctb" in log and "up to date" not in log
+    new = io.read_json(out / "manifest.json")
+    assert new["sampler_revision"] == 6
+    assert new["training"] == old["training"]
+    model = "seed_0/score_model.rctb"
+    assert new["files"][model] == old["files"][model] == old["training"]["0"]["sha256"]
+    for tag in ("0", "2"):
+        rel = f"seed_0/samples_a{tag}.bin"
+        assert new["files"][rel] != old["files"][rel]
+    assert _pipeline(cfg) == EXIT_OK
+    assert "up to date" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("variant", ["mlp", "covering"])
 class TestModelReuse:
     @pytest.fixture()

@@ -14,6 +14,7 @@ from rcdiff.sampler import (
     CHUNK_SIZE,
     backward_grid,
     chain_law,
+    _euler,
     off_span_variance,
     run_backward,
 )
@@ -382,3 +383,23 @@ class TestSpanPath:
         cov = Q @ C @ Q.T + off_span_variance(self.SCHED) * (np.eye(8) - Q @ Q.T)
         [X] = run_backward(AnalyticScore(orc), [1.0], self.N, self.SCHED, seeds=[3])
         _assert_gaussian_moments(X, Q @ mu, cov)
+
+
+@pytest.mark.parametrize("a", [2.0, 16.0])
+def test_float32_span_head_tracks_the_float64_chain(a):
+    # The mlp view's float32 head against the same chain stepped with the
+    # float64 head on one noise stream: the end states agree pathwise.
+    rng = np.random.default_rng(8)
+    model = MlpScore(64, 16, 0.125, seed=3)
+    for k in model.params:
+        model.params[k] = model.params[k] + 0.05 * rng.standard_normal(model.params[k].shape)
+    view = model.span_view()
+
+    def float64_view(u, y, t):
+        return model._decoded(u, view.R, y, t)[0]
+    float64_view.D = view.D
+    sched = DiffusionSchedule(terminal_time=1.0, t0=0.01, eta=0.01)
+    u32, u64 = (_euler(score, a, 256, sched, np.random.default_rng(9))
+                for score in (view, float64_view))
+    assert np.max(np.abs(u32 - u64)) <= 1e-5 * np.max(np.abs(u64))
+    assert not np.array_equal(u32, u64)

@@ -68,8 +68,27 @@ class TestShapeInvariant:
             view = model.span_view()
             assert view.D == 3 and view.Q.shape == (6, 3)
             X, y, t = rng.standard_normal((5, 6)), rng.standard_normal(5), rng.uniform(0.1, 4.0, 5)
-            np.testing.assert_allclose(view(X @ view.Q, y, t), model(X, y, t) @ view.Q,
-                                       rtol=1e-10, atol=1e-12)
+            full = model(X, y, t) @ view.Q
+            if model.affine:
+                np.testing.assert_allclose(view(X @ view.Q, y, t), full, rtol=1e-10, atol=1e-12)
+            else:  # the mlp view's head runs in float32
+                np.testing.assert_allclose(view(X @ view.Q, y, t), full,
+                                           rtol=1e-5, atol=1e-5 * np.abs(full).max())
+
+    def test_mlp_span_head_runs_in_float32(self):
+        # No float64 operand upcasts the head: its weights, features and
+        # layers are float32, and only the view's output is float64.
+        model = MlpScore(6, 3, hidden=(32, 32), seed=2)
+        view = model.span_view()
+        assert {w.dtype for w in view._head["weights"].values()} == {np.dtype(np.float32)}
+        assert all(model.params[k].dtype == np.float64 for k in model.params)
+        rng = np.random.default_rng(3)
+        u, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        for t in (0.7, rng.uniform(0.1, 4.0, 5)):
+            _, (_, psi, acts) = model._decoded(u, view.R, y, t, **view._head)
+            assert all(a.dtype == np.float32 for a in acts)
+            assert psi.dtype == np.float64 and view(u, y, t).dtype == np.float64
+        assert CoveringScore(6, 3, nu=0.5, seed=1).span_view()._head == {}
 
     def test_oracle_span_view_is_the_span_part_of_the_analytic_score(self):
         world = make_world(D=6, d=3, seed=4)
