@@ -50,7 +50,6 @@ from .metrics import (
     build_metrics_report,
     moment_discrepancy,
     off_support_deviation,
-    subopt_decomposition,
     subspace_angle,
     suboptimality,
 )

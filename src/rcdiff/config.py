@@ -208,10 +208,13 @@ class RunConfig:
 
 
 def load_config(path=None) -> RunConfig:
-    """Load a config file; ``None`` gives the documented defaults."""
+    """Load a UTF-8 config file; ``None`` gives the documented defaults."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     return RunConfig(values=parse_config_text(text))
 
 

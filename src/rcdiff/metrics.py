@@ -12,14 +12,14 @@ cell: see ``figures``.
 
 ``build_metrics_report`` gathers them for one (seed, target) cell into the
 record that the pipeline writes as ``metrics_a<tag>.json``: a plain dict
-whose literal there is the only definition of the cell's fields.
+whose literal there is the only definition of the cell's fields, ``e1``
+to ``e3`` and ``e2_se`` included, all read from the cell's oracle alone.
 ``pipeline.CSV_COLUMNS`` projects it onto the cell's ``metrics.csv`` row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .oracle import (
     noised_conditional_law,
     sample_conditional_latents,
 )
-from .regression import RidgeEstimate
 from .world import SubspaceWorld, _check_orthonormal, decompose, true_reward
 
 
@@ -59,67 +58,12 @@ def suboptimality(X: np.ndarray, world: SubspaceWorld, a: float) -> tuple[float,
     return a - avg_reward, avg_reward
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Three error components of the suboptimality.
-
-    With ``mu(a)`` the mean of the reference's conditional latent law
-    (the oracle's ``beta_hat`` and ``nu``), ``|subopt| <= e1 + e2 + e3 +
-    |a - beta_hat^T mu(a)|`` up to the Monte Carlo error of e2's
-    reference mean; ``e1`` is exact.  The last term is the label
-    shrinkage ``a nu^2 / (beta_hat^T Sigma beta_hat + nu^2)``, so ``e1 +
-    e2 + e3`` alone does not bound it at ``a != 0``.
-    """
-
-    e1: float                 # reward-estimation error on the target law
-    e2: float                 # on-support generation error
-    e3: float                 # off-support reward magnitude
-    e2_se: float = 0.0
-
-
-def subopt_decomposition(
-    X: np.ndarray,
-    world: SubspaceWorld,
-    est: RidgeEstimate,
-    oracle: GaussianDesignOracle,
-    a: float,
-    n_ref: int = 20000,
-    *,
-    seed,
-) -> Decomposition:
-    """Compute the error decomposition of the points ``X`` at target ``a``.
-
-    ``e1`` is ``e1_exact_gaussian``.  ``e2`` compares the generated points'
-    on-support reward with that of ``n_ref`` reference draws from the
-    label-conditioned latent law embedded through the true subspace; the
-    off-support term is reported as a magnitude regardless of the world's
-    reward sign convention.
-    """
-    rng = np.random.default_rng(seed)
-    z_ref = sample_conditional_latents(oracle, a, n_ref, rng)
-    x_ref = z_ref @ world.A.T
-
-    g_ref = x_ref @ world.theta_star
-    x_par, x_perp = decompose(world, X)
-    g_gen = x_par @ world.theta_star
-    e2 = float(abs(np.mean(g_ref) - np.mean(g_gen)))
-    gen_se = np.std(g_gen, ddof=1) / math.sqrt(len(g_gen)) if len(g_gen) > 1 else 0.0
-    e2_se = float(math.hypot(np.std(g_ref, ddof=1) / math.sqrt(len(g_ref)), gen_se))
-
-    e3 = float(world.offsupport_coeff * np.mean(np.sum(x_perp * x_perp, axis=1)))
-    return Decomposition(e1=e1_exact_gaussian(world, est, oracle, a), e2=e2, e3=e3, e2_se=e2_se)
-
-
-def e1_exact_gaussian(
-    world: SubspaceWorld,
-    est: RidgeEstimate,
-    oracle: GaussianDesignOracle,
-    a: float,
-) -> float:
-    """E|(theta_hat - theta*)^T A z| over the oracle's conditional latent
-    law of z at ``a``: the mean of a folded normal, in closed form."""
+def e1_exact_gaussian(oracle: GaussianDesignOracle, a: float) -> float:
+    """E|(beta_hat - beta*)^T z|, or E|(theta_hat - theta*)^T A z| for a ridge
+    fit, over the oracle's conditional latent law of z at ``a``: the mean of
+    a folded normal, in closed form."""
     mean, cov = conditional_latent_law(oracle, a)
-    v = world.A.T @ (est.theta_hat - world.theta_star)
+    v = oracle.beta_hat - oracle.world.beta_star
     m = float(v @ mean)
     s = math.sqrt(max(float(v @ cov @ v), 0.0))
     if s == 0.0:
@@ -147,8 +91,6 @@ def moment_discrepancy(X: np.ndarray, law: tuple) -> tuple[float, float]:
 def build_metrics_report(
     X: np.ndarray,
     a: float,
-    world: SubspaceWorld,
-    est: RidgeEstimate,
     oracle: GaussianDesignOracle,
     V: np.ndarray,
     *,
@@ -157,7 +99,19 @@ def build_metrics_report(
     seed,
 ) -> dict:
     """Evaluate the (n, D) points ``X`` generated at target ``a`` and
-    stopped at time ``t0``.
+    stopped at time ``t0`` against the law of ``oracle``, whose world is
+    the ground truth and whose ``beta_hat`` and ``nu`` condition it.
+
+    ``e1`` is ``e1_exact_gaussian``.  ``e2`` compares the points' on-support
+    reward with that of ``n_ref`` reference draws from the oracle's
+    conditional latent law embedded through the true subspace, and
+    ``e2_se`` is the standard error of that difference.  ``e3`` is the
+    off-support reward as a magnitude, whatever the world's sign
+    convention.  With ``mu(a)`` the mean of the conditional latent law,
+    ``|subopt| <= e1 + e2 + e3 + |a - beta_hat^T mu(a)|`` up to the Monte
+    Carlo error of e2's reference mean.  The last term is the label
+    shrinkage ``a nu^2 / (beta_hat^T Sigma beta_hat + nu^2)``, so ``e1 + e2
+    + e3`` alone does not bound ``|subopt|`` at ``a != 0``.
 
     Returns the cell's record, the dict written as ``metrics_a<tag>.json``;
     this literal is the one definition of its fields.  Raises
@@ -166,8 +120,14 @@ def build_metrics_report(
     never reaches disk.
     """
     a = float(a)
+    world = oracle.world
     subopt, avg_reward = suboptimality(X, world, a)
-    dec = subopt_decomposition(X, world, est, oracle, a, n_ref, seed=seed)
+    z_ref = sample_conditional_latents(oracle, a, n_ref, np.random.default_rng(seed))
+    g_ref = z_ref @ world.A.T @ world.theta_star
+    x_par, x_perp = decompose(world, X)
+    g_gen = x_par @ world.theta_star
+    # Standard errors of the two means; a single value adds none.
+    se = [np.std(g, ddof=1) / math.sqrt(len(g)) if len(g) > 1 else 0.0 for g in (g_ref, g_gen)]
     law = noised_conditional_law(oracle, a, t0)
     mean_gap, cov_gap = moment_discrepancy(X, law)
     record = {
@@ -177,9 +137,10 @@ def build_metrics_report(
         "off_support_mean": off_support_deviation(X, world),
         "avg_reward": avg_reward,
         "subopt": subopt,
-        "e1": dec.e1,
-        "e2": dec.e2,
-        "e3": dec.e3,
+        "e1": e1_exact_gaussian(oracle, a),
+        "e2": float(abs(np.mean(g_ref) - np.mean(g_gen))),
+        "e2_se": math.hypot(*se),
+        "e3": float(world.offsupport_coeff * np.mean(np.sum(x_perp * x_perp, axis=1))),
         "distro_shift": distro_shift_surrogate(oracle, a),
         "distro_shift_kind": "known-sigma-surrogate",
         "moment_discrepancy": {"mean_gap": mean_gap, "cov_gap": cov_gap},

@@ -168,14 +168,9 @@ def noised_conditional_law(
 
 
 def latent_second_moment(oracle: GaussianDesignOracle, a: float) -> float:
-    """E ||z||^2 under the conditional latent law, ``||mu(a)||^2 + tr(Gamma)``,
-    in the form that makes the ``a^2`` sensitivity explicit."""
-    S = oracle.world.Sigma
-    b = oracle.beta_hat
-    Sb = S @ b
-    s = float(b @ Sb)
-    denom = s + oracle.nu**2
-    return (a**2 - denom) * float(Sb @ Sb) / denom**2 + float(np.trace(S))
+    """E ||z||^2 under the conditional latent law, ``||mu(a)||^2 + tr(Gamma)``."""
+    mean, cov = conditional_latent_law(oracle, a)
+    return float(mean @ mean + np.trace(cov))
 
 
 def distro_shift_surrogate(oracle: GaussianDesignOracle, a: float) -> float:

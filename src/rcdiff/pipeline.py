@@ -306,7 +306,7 @@ def _run_seed(cfg: RunConfig, seed: int, out: Path, manifest: dict,
     rows = []
     for i, (a, tag, X) in enumerate(zip(targets, tags, samples)):
         with stage(f"metrics.a{tag}"):
-            record = build_metrics_report(X, a, world, est, oracle, view.Q, t0=cfg["schedule.t0"],
+            record = build_metrics_report(X, a, oracle, view.Q, t0=cfg["schedule.t0"],
                                           n_ref=cfg["metrics.n_ref"],
                                           seed=derive(seed, SEED_METRICS, i))
             write(io.write_json, f"metrics_a{tag}.json", record)

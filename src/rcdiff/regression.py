@@ -11,6 +11,8 @@ and in the reduced latent-dimension form (``coverage_trace_factored``)
 
 which holds exactly for any orthonormal-column ``A`` and PSD ``S1, S2``;
 ``validate.check_trace_identity`` (criterion 4) checks it on those two.
+``target_covariance`` gives the target second moment ``Sigma_target`` of
+a cell from its ``GaussianDesignOracle``, the one holder of the cell's law.
 """
 
 from __future__ import annotations
@@ -133,16 +135,14 @@ def coverage_trace_factored(est: RidgeEstimate, A: np.ndarray, sigma2: np.ndarra
     return est.n2 * float(np.trace(np.linalg.solve(M, S2)))
 
 
-def target_covariance(
-    world: SubspaceWorld, est: RidgeEstimate, a: float, nu: float
-) -> np.ndarray:
+def target_covariance(oracle: GaussianDesignOracle, a: float) -> np.ndarray:
     """Uncentered second moment of the label-conditioned data distribution.
 
-    ``A (mu(a) mu(a)^T + Gamma) A^T`` with the conditional latent law taken
-    at the fitted reward direction; symmetric PSD with rank at most d.
+    ``A (mu(a) mu(a)^T + Gamma) A^T`` with the oracle's conditional latent
+    law, which a ridge fit conditions through ``beta_hat = A^T theta_hat``;
+    symmetric PSD with rank at most d.
     """
-    oracle = GaussianDesignOracle(world=world, beta_hat=est.beta_hat(world), nu=nu)
     mean, cov = conditional_latent_law(oracle, a)
-    inner = np.outer(mean, mean) + cov
-    out = world.A @ inner @ world.A.T
+    A = oracle.world.A
+    out = A @ (np.outer(mean, mean) + cov) @ A.T
     return 0.5 * (out + out.T)

@@ -186,7 +186,7 @@ def test_criterion_08_ridge_and_reward_error_trend():
             e = fit_ridge(lab, lam=1.0)
             oracle = GaussianDesignOracle(world=w, beta_hat=e.beta_hat(w),
                                           nu=default_nu(64))
-            errs.append(e1_exact_gaussian(w, e, oracle, a=2.0))
+            errs.append(e1_exact_gaussian(oracle, a=2.0))
         medians.append(float(np.median(errs)))
     assert medians[0] >= medians[1] >= medians[2]
     _verdict(8, time.perf_counter() - start, 300,

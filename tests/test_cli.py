@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, artifacts, idempotence, figures."""
 
 import csv
+import math
 import os
 
 import pytest
@@ -112,6 +113,12 @@ class TestPipelineCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("world.unknown = 1\n")
         assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
+
+    def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"world.D = 8\n# \xff\n")
+        assert main(["pipeline", "--config", str(bad), "--dry-run"]) == EXIT_CONFIG
+        assert "bad.cfg is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "score.hidden =", "score.hidden = 8, 8, 8, 8", "score.lr_decay = 1.5",
@@ -413,6 +420,20 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
     assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
     on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert on_disk == expected | {"manifest.json"}
+
+
+@pytest.mark.parametrize("key", ["metrics.n_ref", "sample.n"])
+def test_single_draw_gives_finite_records(smoke_cfg, key):
+    # One reference draw or one generated point has no spread: its share of
+    # e2_se is 0, not the NaN of a one-value sample deviation.
+    cfg, out = smoke_cfg
+    kept = [row for row in cfg.read_text().splitlines() if not row.startswith(key)]
+    cfg.write_text("\n".join(kept + ["score.variant = oracle", f"{key} = 1"]) + "\n")
+    assert _pipeline(cfg) == EXIT_OK
+    for tag in ("0", "2"):
+        record = io.read_json(out / "seed_0" / f"metrics_a{tag}.json")
+        assert record["e2_se"] >= 0 and all(
+            math.isfinite(v) for v in record.values() if isinstance(v, float))
 
 
 def test_manifest_records_the_host_outside_the_up_to_date_check(smoke_cfg, monkeypatch, capsys):

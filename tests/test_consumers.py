@@ -1,6 +1,7 @@
 """Every definition in the package has a consumer in the package, every
 module-level import is read by the module that makes it, and every config
-key is read somewhere besides the schema and its validation.
+key is read somewhere besides the schema and its validation.  No function
+takes a cell's law in two pieces, and no two random streams share a code.
 
 Definitions are the top-level functions and classes, the methods and
 properties of those classes, dunders excepted, and the fields of its
@@ -29,9 +30,7 @@ KEPT_REFERENCES = {
 
 # Dataclass fields kept without a package reader: tests bound a Monte Carlo
 # metric with each, and each is to be reported beside that metric.
-KEPT_FIELDS = {
-    "Decomposition.e2_se": "tests bound e2 with it; to be reported beside e2",
-}
+KEPT_FIELDS = {}
 
 
 def _references(tree: ast.AST) -> set:
@@ -158,3 +157,33 @@ def test_every_error_type_is_caught_or_carries_fields():
     bare = {cls.name for cls in errors.body if isinstance(cls, ast.ClassDef)
             and cls.name not in caught and not _sets_fields(cls)}
     assert bare == set()
+
+
+def test_no_function_takes_the_oracle_beside_its_parts():
+    # An oracle holds its world and the fitted beta_hat = A^T theta_hat, so a
+    # function given the world or the ridge estimate beside it could read
+    # two laws that nothing checks agree.
+    trees, _ = _trees_and_consumed()
+    split = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "oracle" in names and names & {"world", "est"}:
+                    split.add(node.name)
+    assert split == set()
+
+
+def test_stream_codes_are_distinct():
+    # Every stage seed is ``rng.derive(seed, code, ...)``; two stages that
+    # shared a code would draw the same stream.
+    codes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, int):
+                codes.update({f"{path.stem}.{t.id}": node.value.value for t in node.targets
+                              if isinstance(t, ast.Name) and t.id.startswith("SEED_")})
+    assert {"pipeline.SEED_MODEL", "score_model.SEED_TRAIN_VAL"} <= set(codes)
+    assert len(set(codes.values())) == len(codes), codes

@@ -14,7 +14,6 @@ from rcdiff.metrics import (
     e1_exact_gaussian,
     moment_discrepancy,
     off_support_deviation,
-    subopt_decomposition,
     subspace_angle,
     suboptimality,
 )
@@ -25,16 +24,13 @@ from rcdiff.oracle import (
     conditional_latent_law,
     sample_conditional_latents,
 )
-from rcdiff.regression import RidgeEstimate
 from rcdiff.world import make_world, sample_orthonormal
 
 
-def _unit_est(world, theta=None):
-    theta = world.theta_star if theta is None else theta
-    return RidgeEstimate(
-        theta_hat=theta, lam=1.0, n2=8,
-        sigma_hat_lambda=np.eye(world.D),
-    )
+def _report(X, oracle, a, *, seed, n_ref=20000):
+    """The record of ``X`` at target ``a`` under ``oracle``, spanned by the
+    true basis."""
+    return build_metrics_report(X, a, oracle, oracle.world.A, t0=0.05, n_ref=n_ref, seed=seed)
 
 
 class TestSubspaceAngle:
@@ -131,6 +127,8 @@ class TestSuboptimality:
 
 
 class TestDecomposition:
+    """e1, e2, e2_se and e3 as the cell's record reports them."""
+
     def _setup(self, nu=0.5, seed=0):
         w = make_world(D=8, d=3, seed=seed)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=nu)
@@ -139,42 +137,39 @@ class TestDecomposition:
     def test_exact_reward_estimate_kills_e1(self):
         w, orc = self._setup()
         X = np.random.default_rng(1).standard_normal((100, 3)) @ w.A.T
-        dec = subopt_decomposition(X, w, _unit_est(w), orc, a=2.0, seed=2)
-        assert dec.e1 == 0.0
+        assert _report(X, orc, 2.0, seed=2)["e1"] == 0.0
 
     def test_e1_positive_for_wrong_estimate(self):
-        w, orc = self._setup()
+        w, _ = self._setup()
         theta = w.theta_star + 0.3 * np.eye(8)[:, 0]
+        orc = GaussianDesignOracle(world=w, beta_hat=w.A.T @ theta, nu=0.5)
         X = np.random.default_rng(1).standard_normal((100, 3)) @ w.A.T
-        dec = subopt_decomposition(X, w, _unit_est(w, theta), orc, a=2.0, seed=2)
-        assert dec.e1 > 0.0
+        assert _report(X, orc, 2.0, seed=2)["e1"] > 0.0
 
     def test_e1_matches_folded_normal_closed_form(self):
-        w, orc = self._setup(nu=0.4, seed=3)
+        w, _ = self._setup(nu=0.4, seed=3)
         rng = np.random.default_rng(4)
         theta = w.theta_star + 0.2 * rng.standard_normal(8)
-        est = _unit_est(w, theta)
+        orc = GaussianDesignOracle(world=w, beta_hat=w.A.T @ theta, nu=0.4)
         X = rng.standard_normal((10, 3)) @ w.A.T
-        dec = subopt_decomposition(X, w, est, orc, a=2.0, seed=5)
-        assert dec.e1 == e1_exact_gaussian(w, est, orc, a=2.0)
+        e1 = _report(X, orc, 2.0, seed=5)["e1"]
+        assert e1 == e1_exact_gaussian(orc, a=2.0)
         # Monte Carlo over the target law x = A z, z ~ the conditional latent law.
         z = sample_conditional_latents(orc, 2.0, 400_000, np.random.default_rng(5))
         gap = np.abs(z @ w.A.T @ (theta - w.theta_star))
-        assert abs(gap.mean() - dec.e1) <= 4 * gap.std(ddof=1) / math.sqrt(gap.size)
+        assert abs(gap.mean() - e1) <= 4 * gap.std(ddof=1) / math.sqrt(gap.size)
 
     def test_same_law_batch_kills_e2(self):
         w, orc = self._setup(seed=6)
         rng = np.random.default_rng(7)
         z = sample_conditional_latents(orc, 2.0, 50_000, rng)
-        dec = subopt_decomposition(z @ w.A.T, w, _unit_est(w), orc, a=2.0,
-                                   n_ref=50_000, seed=8)
-        assert dec.e2 <= 3 * dec.e2_se
+        record = _report(z @ w.A.T, orc, 2.0, n_ref=50_000, seed=8)
+        assert record["e2"] <= 3 * record["e2_se"]
 
     def test_on_support_batch_kills_e3(self):
         w, orc = self._setup()
         X = np.random.default_rng(9).standard_normal((100, 3)) @ w.A.T
-        dec = subopt_decomposition(X, w, _unit_est(w), orc, a=0.0, seed=10)
-        assert dec.e3 < 1e-12
+        assert _report(X, orc, 0.0, seed=10)["e3"] < 1e-12
 
     def test_e3_is_magnitude_of_off_support_reward(self):
         w, orc = self._setup()
@@ -184,8 +179,7 @@ class TestDecomposition:
 
         _, x_perp = decompose(w, X)
         expected = w.offsupport_coeff * float(np.mean(np.sum(x_perp**2, axis=1)))
-        dec = subopt_decomposition(X, w, _unit_est(w), orc, a=0.0, seed=12)
-        assert abs(dec.e3 - expected) < 1e-12
+        assert abs(_report(X, orc, 0.0, seed=12)["e3"] - expected) < 1e-12
 
     def test_components_and_label_shrinkage_bound_the_suboptimality(self):
         # subopt = (a - beta_hat^T mu(a)) + E[(theta_hat - theta*)^T x_ref]
@@ -202,14 +196,14 @@ class TestDecomposition:
         samples = run_backward(AnalyticScore(orc).span_view(), targets, 2048, sched,
                                seeds=[1, 2, 3, 4])
         for a, X in zip(targets, samples):
-            subopt, _ = suboptimality(X, w, a)
-            dec = subopt_decomposition(X, w, _unit_est(w, theta), orc, a, seed=5)
+            record = _report(X, orc, a, seed=5)
             mean, _ = conditional_latent_law(orc, a)
             shrinkage = abs(a - orc.beta_hat @ mean)
-            parts = dec.e1 + dec.e2 + dec.e3
-            assert abs(subopt) <= parts + shrinkage + 4 * dec.e2_se
+            parts = record["e1"] + record["e2"] + record["e3"]
+            subopt, se = abs(record["subopt"]), record["e2_se"]
+            assert subopt <= parts + shrinkage + 4 * se
         # At a = 8, the last target, the three components alone fall short.
-        assert abs(subopt) > parts + 4 * dec.e2_se
+        assert subopt > parts + 4 * se
 
 
 class TestPushforwardDiscrepancy:
@@ -272,8 +266,7 @@ class TestMetricsReport:
         w = make_world(D=6, d=2, seed=0)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
         X = np.random.default_rng(1).standard_normal((40, 6))
-        return build_metrics_report(X, 2.0, w, _unit_est(w), orc, w.A, t0=0.05,
-                                    n_ref=100, seed=3)
+        return _report(X, orc, 2.0, n_ref=100, seed=3)
 
     def test_rejects_non_finite(self, monkeypatch):
         monkeypatch.setattr(metrics, "distro_shift_surrogate",
@@ -291,7 +284,7 @@ class TestMetricsReport:
     def test_record_layout(self):
         record = self._report()
         assert sorted(record) == [
-            "a", "avg_reward", "distro_shift", "distro_shift_kind", "e1", "e2", "e3",
+            "a", "avg_reward", "distro_shift", "distro_shift_kind", "e1", "e2", "e2_se", "e3",
             "moment_discrepancy", "n", "off_support_mean",
             "subopt", "subspace_angle",
         ]
@@ -301,4 +294,4 @@ class TestMetricsReport:
         assert record["subopt"] == record["a"] - record["avg_reward"]
         w = make_world(D=6, d=2, seed=0)
         orc = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
-        assert record["e1"] == e1_exact_gaussian(w, _unit_est(w), orc, 2.0)
+        assert record["e1"] == e1_exact_gaussian(orc, 2.0)

@@ -154,10 +154,9 @@ class TestCoverageTrace:
         w = make_world(D=64, d=16, seed=4)
         _, labeled = generate_datasets(w, n1=2, n2=8192, noise_sigma=0.1, seed=5)
         est = fit_ridge(labeled, lam=1.0)
-        nu = default_nu(64)
+        oracle = GaussianDesignOracle(world=w, beta_hat=est.beta_hat(w), nu=default_nu(64))
         values = [
-            coverage_trace(est, target_covariance(w, est, a, nu))
-            for a in (0.0, 2.0, 4.0, 8.0)
+            coverage_trace(est, target_covariance(oracle, a)) for a in (0.0, 2.0, 4.0, 8.0)
         ]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
         # Coverage scales like a^2 / |beta|_Sigma plus a d-sized floor.
@@ -175,31 +174,22 @@ class TestTargetCovariance:
     def test_zero_target_closed_form(self):
         w = make_world(D=6, d=3, seed=0)
         beta = w.beta_star  # unit vector
-        theta = w.A @ beta
-        est = RidgeEstimate(
-            theta_hat=theta, lam=1.0, n2=8, sigma_hat_lambda=np.eye(6)
-        )
-        got = target_covariance(w, est, a=0.0, nu=1.0)
+        got = target_covariance(GaussianDesignOracle(world=w, beta_hat=beta, nu=1.0), a=0.0)
         expected = w.A @ (np.eye(3) - 0.5 * np.outer(beta, beta)) @ w.A.T
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_large_nu_washes_out_conditioning(self):
         w = make_world(D=6, d=3, seed=1)
-        est = RidgeEstimate(
-            theta_hat=w.theta_star, lam=1.0, n2=8, sigma_hat_lambda=np.eye(6)
-        )
-        got = target_covariance(w, est, a=3.0, nu=1e6)
+        got = target_covariance(GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=1e6),
+                                a=3.0)
         expected = w.A @ w.Sigma @ w.A.T
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_matches_monte_carlo_second_moment(self):
         w = make_world(D=7, d=4, seed=2)
-        est = RidgeEstimate(
-            theta_hat=w.theta_star, lam=1.0, n2=8, sigma_hat_lambda=np.eye(7)
-        )
-        nu, a = 0.5, 2.0
-        got = target_covariance(w, est, a=a, nu=nu)
-        oracle = GaussianDesignOracle(world=w, beta_hat=est.beta_hat(w), nu=nu)
+        oracle = GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.5)
+        a = 2.0
+        got = target_covariance(oracle, a=a)
         z = sample_conditional_latents(oracle, a, 1_000_000, np.random.default_rng(3))
         X = z @ w.A.T
         emp = X.T @ X / X.shape[0]
@@ -207,10 +197,8 @@ class TestTargetCovariance:
 
     def test_symmetric_psd_low_rank(self):
         w = make_world(D=9, d=3, seed=5)
-        est = RidgeEstimate(
-            theta_hat=w.theta_star, lam=1.0, n2=8, sigma_hat_lambda=np.eye(9)
-        )
-        S = target_covariance(w, est, a=4.0, nu=0.25)
+        S = target_covariance(GaussianDesignOracle(world=w, beta_hat=w.beta_star, nu=0.25),
+                              a=4.0)
         np.testing.assert_allclose(S, S.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(S)
         assert eigs.min() > -1e-10
