@@ -4,6 +4,8 @@
 (shape, rank, symmetry, definiteness, range, format).  ``ConfigError``: a
 run configuration is malformed.  ``TrainingDivergedError`` and
 ``SamplerDivergedError``: a computation stopped being finite at a step.
+An error with fields pickles them (``__reduce__``), so one raised in a
+worker process reaches the parent intact.
 """
 
 
@@ -31,6 +33,9 @@ class TrainingDivergedError(RcdiffError, RuntimeError):
         self.step = step
         self.trace = list(trace)
 
+    def __reduce__(self):
+        return type(self), (self.step, self.trace)
+
 
 class SamplerDivergedError(RcdiffError, RuntimeError):
     """The backward SDE iteration produced a non-finite state.
@@ -46,3 +51,6 @@ class SamplerDivergedError(RcdiffError, RuntimeError):
         super().__init__(f"sampler state became non-finite at step {step} (target a={a:g})")
         self.step = step
         self.a = a
+
+    def __reduce__(self):
+        return type(self), (self.step, self.a)

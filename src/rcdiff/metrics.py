@@ -33,6 +33,12 @@ from .oracle import (
 )
 from .world import SubspaceWorld, _check_orthonormal, decompose, true_reward
 
+# Revision of the records a run's config gets: bumped whenever some config
+# gets another record, in a value or in its fields.  A run records it, so a
+# run directory whose records an earlier revision wrote is not up to date.
+# Revision 2 gives ``e1`` in closed form, revision 3 adds ``e2_se``.
+METRICS_REVISION = 3
+
 
 def subspace_angle(V: np.ndarray, A: np.ndarray) -> float:
     """Squared Frobenius distance between the two column-span projectors."""

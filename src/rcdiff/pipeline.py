@@ -8,6 +8,15 @@ metrics run per cell.  All stage seeds derive from the cell's root
 seed through fixed stage codes (see ``rng.derive``), making every artifact
 a pure function of the resolved configuration.
 
+The seeds are independent: each writes only under ``seed_<s>/``.  When the
+environment pins the BLAS to one thread (``OPENBLAS_NUM_THREADS=1``; see
+``_worker_count``), they run in one process per usable CPU: this process
+and workers forked from it, each running a round-robin share of the seeds
+(``_run_seeds``).  The parent takes each seed's manifest part, rows and
+log messages in seed order, so every file the run writes has the same
+bytes at any worker count, and log messages arrive in seed order.  The
+manifest's ``host`` records the count.
+
 Training is the one stage kept between runs: a rerun, after a failed or
 interrupted run or a change to keys outside ``MODEL_KEYS`` (``sweep.a``,
 ``sample.*``, ``metrics.n_ref``, ``schedule.eta``), loads each seed's
@@ -22,9 +31,9 @@ a plain dict, and writes it on any exit: a run that fails or is
 interrupted (Ctrl-C) leaves it with ``complete`` false, the training record
 of each model it trained or reused and, for every other seed, the last
 run's record, so the next start can reuse all of those models.
-It records ``sampler.SAMPLER_REVISION``: a finished run whose samples an
-earlier sampler revision wrote is not up to date, so its next start
-samples again and reuses its models.
+It records ``sampler.SAMPLER_REVISION`` and ``metrics.METRICS_REVISION``:
+a finished run whose samples or records an earlier revision wrote is not
+up to date, so its next start samples again and reuses its models.
 The manifest keeps no copy of a fact the run holds elsewhere: the oracle of
 a seed is ``cfg.nu`` of its config and ``A^T theta_hat`` from ``world.rctb``
 and ``ridge.rctb``.  Nor does a cell's record: the points of the i-th
@@ -59,7 +68,9 @@ import csv
 import importlib.metadata
 import json
 import os
+import pickle
 import platform
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,7 +80,7 @@ import numpy as np
 from . import io
 from .config import RunConfig
 from .errors import RcdiffError, ValidationError
-from .metrics import build_metrics_report
+from .metrics import METRICS_REVISION, build_metrics_report
 from .oracle import GaussianDesignOracle, AnalyticScore
 from .regression import fit_ridge, pseudo_label
 from .rng import derive
@@ -101,6 +112,7 @@ SEED_METRICS = 21
 MODEL_KEYS = ("world.", "data.", "reward.", "score.", "schedule.T", "schedule.t0")
 
 # Environment variables that set the BLAS thread count, recorded as set.
+# When they pin it to one thread, the seeds run in parallel processes.
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -109,6 +121,9 @@ class PipelineStageError(RcdiffError, RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)
 
 
 def _read_manifest(out_dir) -> dict:
@@ -128,9 +143,34 @@ def _part(record: dict, key: str) -> dict:
     return part if isinstance(part, dict) else {}
 
 
-def _host() -> dict:
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_seeds: int) -> int:
+    """How many processes run the seeds: one per usable CPU, at most one per
+    seed, when every variable of ``THREAD_ENV`` that is set is ``"1"`` and
+    at least one is; otherwise 1.
+
+    Forked processes whose BLAS runs several threads each compete for the
+    same cores: two seeds of a D=64 mlp study took 11-19 s in two such
+    processes on a 2-core box, against 6.5 s in one.  A process
+    that cannot fork, or that runs another thread (a lock that thread holds
+    at the fork would stay held in the child), also gets 1.
+    """
+    pinned = {os.environ[k] for k in THREAD_ENV if k in os.environ}
+    if pinned != {"1"} or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(n_seeds, _cpus()))
+
+
+def _host(workers: int) -> dict:
     """What the run ran on: library versions, BLAS and its thread settings,
-    read from package metadata and numpy's build config."""
+    read from package metadata and numpy's build config, and the number of
+    processes that ran the seeds."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -140,21 +180,22 @@ def _host() -> dict:
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "blas": blas,
-        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
+        "cpus": _cpus(),
         "threads": {k: os.environ.get(k) for k in THREAD_ENV},
+        "workers": workers,
     }
 
 
 def is_up_to_date(cfg: RunConfig, out_dir, manifest: dict) -> bool:
     """True when ``manifest``, read from ``out_dir``, records a complete
-    run of this config by this sampler revision and every file it lists is
-    hash-clean."""
+    run of this config by this sampler and metrics revision and every file
+    it lists is hash-clean."""
     files = manifest.get("files")
     return (
         manifest.get("complete") is True
         and manifest.get("config_digest") == cfg.digest()
         and manifest.get("sampler_revision") == SAMPLER_REVISION
+        and manifest.get("metrics_revision") == METRICS_REVISION
         and isinstance(files, dict)
         and not io.verify_manifest(out_dir, files)
     )
@@ -171,12 +212,13 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
         return out
     trained = _part(last, "training")
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config_digest": cfg.digest(), "config": cfg.values, "host": _host(),
-                "sampler_revision": SAMPLER_REVISION, "files": {}, "timings_s": {}}
+    workers = _worker_count(len(cfg["sweep.seeds"]))
+    manifest = {"config_digest": cfg.digest(), "config": cfg.values, "host": _host(workers),
+                "sampler_revision": SAMPLER_REVISION, "metrics_revision": METRICS_REVISION,
+                "files": {}, "timings_s": {}}
     rows, complete = [], False
     try:
-        for seed in cfg["sweep.seeds"]:
-            rows.extend(_run_seed(cfg, seed, out, manifest, _part(trained, str(seed)), log))
+        rows = _run_seeds(cfg, out, workers, trained, manifest, log)
         csv_path = out / "metrics.csv"
         io.write_csv(csv_path, CSV_COLUMNS, (row.values() for row in rows))
         _add_file(manifest, out, csv_path)
@@ -195,6 +237,160 @@ def run_pipeline(cfg: RunConfig, out_dir, *, force: bool = False,
         io.write_json(out / "manifest.json", manifest)
     log(f"wrote {len(rows)} cells to {out}")
     return out
+
+
+def _run_seeds(cfg: RunConfig, out: Path, workers: int, trained: dict, manifest: dict,
+               log) -> list:
+    """Run every seed of the sweep in ``workers`` processes; returns the
+    ``metrics.csv`` rows in seed order.
+
+    The seeds are dealt round-robin into ``workers`` shares.  This process
+    runs the first share and forks a worker for each other one
+    (``_forked``).  Each seed runs into a manifest part of its own
+    (``_outcome``), and the parts, rows and log messages are taken in seed
+    order, so the files, ``metrics.csv`` and the manifest apart from
+    ``timings_s`` and ``host`` do not depend on ``workers``.  A seed logs
+    as it runs when every earlier seed has been taken; the messages of any
+    other wait for its turn.  A share stops at its first failure.  Every
+    part that exists is merged, so the manifest keeps the training record
+    of each model that was finished, and then the first failure in seed
+    order is raised.
+    """
+    seeds = cfg["sweep.seeds"]
+    shares = [seeds[i::workers] for i in range(workers)]
+    rows, failures, done, taken = [], [], {}, 0
+
+    def take(outcome):
+        for key, part in outcome["part"].items():
+            manifest.setdefault(key, {}).update(part)
+        rows.extend(outcome["rows"])
+        for msg in outcome["log"]:
+            log(msg)
+        if outcome["error"] is not None:
+            failures.append(outcome["error"])
+
+    with _forked(cfg, out, shares[1:], trained) as receive:
+        for seed in shares[0]:
+            live = seeds[taken] == seed
+            outcome = _outcome(cfg, seed, out, _part(trained, str(seed)),
+                               log if live else None)
+            if live:
+                take(outcome)
+                taken += 1
+            else:
+                done[seed] = outcome
+            if outcome["error"] is not None:
+                break
+        missing = []
+        for seed in seeds[taken:]:
+            outcome = done.pop(seed, None) if seed in shares[0] else receive(seed)
+            if outcome is None:
+                missing.append(seed)
+            else:
+                take(outcome)
+    if failures:
+        raise failures[0]
+    if missing:
+        raise RcdiffError(f"seeds {missing}: their worker process ended without a result")
+    return rows
+
+
+def _outcome(cfg: RunConfig, seed: int, out: Path, previous: dict, log=None) -> dict:
+    """Run one seed into a manifest part of its own; never raises.
+
+    Returns the part (``files``, ``timings_s`` and, for a trained score,
+    ``training``), the seed's rows, the messages it logged when ``log`` is
+    None (they are logged as they come otherwise) and the exception that
+    stopped it, an interrupt included, or None.
+    """
+    messages = []
+    outcome = {"part": {"files": {}, "timings_s": {}}, "rows": [], "log": messages,
+               "error": None}
+    try:
+        outcome["rows"] = _run_seed(cfg, seed, out, outcome["part"], previous,
+                                    log or messages.append)
+    except BaseException as exc:  # raised again by ``_run_seeds``, in seed order
+        outcome["error"] = exc
+    return outcome
+
+
+@contextmanager
+def _forked(cfg: RunConfig, out: Path, shares: list, trained: dict):
+    """Fork one worker process per share of seeds; yields ``receive``,
+    which returns the outcome of a worker's seed, or None when the worker
+    ended without sending it.  A worker's seeds must be received in share
+    order.  On exit every pipe is closed, so a worker still sending gets
+    an error and ends, and every worker is waited for.
+    """
+    workers = {}  # seed -> (pid, pipe) of the worker that runs it
+    try:
+        for share in shares:
+            worker = _fork(cfg, out, share, trained)
+            workers.update(dict.fromkeys(share, worker))
+
+        def receive(seed):
+            try:
+                return pickle.load(workers[seed][1])
+            except (EOFError, pickle.UnpicklingError):  # a worker that ended early
+                return None
+        yield receive
+    finally:
+        for pid, pipe in set(workers.values()):
+            pipe.close()
+        for pid, pipe in set(workers.values()):
+            os.waitpid(pid, 0)
+
+
+def _fork(cfg: RunConfig, out: Path, share: list, trained: dict):
+    """Start a worker process that runs the seeds of ``share`` in order and
+    pickles each one's ``_outcome`` to a pipe, stopping after the first
+    that failed; returns its pid and the pipe's reading end.
+
+    The worker never returns: it leaves through ``os._exit``, so no handler
+    or buffer of the parent's runs or is flushed twice.  An interrupt is
+    held while an outcome is written, so the stream stays whole.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        import signal
+
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            for seed in share:
+                outcome = _outcome(cfg, seed, out, _part(trained, str(seed)))
+                data = _pickled(outcome)
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pipe.write(data)
+                    pipe.flush()
+                finally:
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                if outcome["error"] is not None:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(outcome: dict) -> bytes:
+    """``outcome`` pickled; an error that does not pickle goes as its text,
+    under the stage name of the ``PipelineStageError`` that carried it."""
+    try:
+        data = pickle.dumps(outcome)
+        pickle.loads(data)  # an exception may pickle and still fail to unpickle
+        return data
+    except Exception:  # e.g. an exception whose arguments do not pickle
+        error = outcome["error"]
+        cause = getattr(error, "cause", error)
+        text = RcdiffError(f"{type(cause).__name__}: {cause}")
+        outcome["error"] = (PipelineStageError(error.stage, text)
+                            if isinstance(error, PipelineStageError) else text)
+        return pickle.dumps(outcome)
 
 
 def _add_file(manifest: dict, out: Path, path) -> str:

@@ -413,8 +413,8 @@ def test_run_keeps_one_copy_of_each_result(smoke_cfg, variant, model):
     manifest = io.read_json(out / "manifest.json")
     assert set(manifest["files"]) == expected
     # The oracle's parameters are the config's nu and the stored world and ridge.
-    assert set(manifest) == {"config_digest", "config", "files", "host",
-                             "sampler_revision", "timings_s", "complete"} | (
+    assert set(manifest) == {"config_digest", "config", "files", "host", "sampler_revision",
+                             "metrics_revision", "timings_s", "complete"} | (
                                  {"training"} if model else set())
     # Pseudo-labels are computed only for a model that is trained.
     assert ("seed0.pseudo" in manifest["timings_s"]) == bool(model)
@@ -440,20 +440,27 @@ def test_manifest_records_the_host_outside_the_up_to_date_check(smoke_cfg, monke
     import importlib.metadata
     import platform
 
+    from rcdiff import pipeline
+
     cfg, out = smoke_cfg
     cfg.write_text(cfg.read_text() + "score.variant = oracle\n")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert _pipeline(cfg) == EXIT_OK
     host = io.read_json(out / "manifest.json")["host"]
-    assert set(host) == {"python", "numpy", "blas", "cpus", "threads"}
+    assert set(host) == {"python", "numpy", "blas", "cpus", "threads", "workers"}
     assert host["python"] == platform.python_version()
     assert host["numpy"] == importlib.metadata.version("numpy")
-    assert host["cpus"] >= 1
+    assert host["cpus"] == pipeline._cpus() >= 1
     assert host["threads"]["OMP_NUM_THREADS"] == "1"
     assert host["threads"]["MKL_NUM_THREADS"] is None
-    # Another thread setting changes no output, so the run stays up to date.
+    assert host["workers"] == 1  # one seed
+    # Another thread setting, CPU count or worker count changes no output,
+    # so the run stays up to date.
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    manifest = io.read_json(out / "manifest.json")
+    manifest["host"].update(cpus=host["cpus"] + 1, workers=2)
+    io.write_json(out / "manifest.json", manifest)
     capsys.readouterr()
     assert _pipeline(cfg) == EXIT_OK
     assert "up to date" in capsys.readouterr().out
@@ -538,6 +545,205 @@ def test_mlp_run_of_an_older_sampler_revision_is_sampled_again(smoke_cfg, monkey
         assert new["files"][rel] != old["files"][rel]
     assert _pipeline(cfg) == EXIT_OK
     assert "up to date" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("revision", [None, 2], ids=["absent", "older"])
+def test_run_of_an_older_metrics_revision_rewrites_its_records(smoke_cfg, revision, capsys):
+    # As a finished run written before ``e2_se`` joined the record: same
+    # config and sampler revision, other record bytes.
+    from rcdiff.metrics import METRICS_REVISION
+
+    cfg, out = smoke_cfg
+    assert _pipeline(cfg) == EXIT_OK
+    manifest = io.read_json(out / "manifest.json")
+    manifest.pop("metrics_revision")
+    if revision is not None:
+        manifest["metrics_revision"] = revision
+    for tag in ("0", "2"):
+        path = out / "seed_0" / f"metrics_a{tag}.json"
+        record = io.read_json(path)
+        del record["e2_se"]
+        io.write_json(path, record)
+        manifest["files"][f"seed_0/metrics_a{tag}.json"] = io.sha256_file(path)
+    io.write_json(out / "manifest.json", manifest)
+    capsys.readouterr()
+    assert _pipeline(cfg) == EXIT_OK
+    log = capsys.readouterr().out
+    assert "seed 0: reusing score_model.rctb" in log and "up to date" not in log
+    assert io.read_json(out / "manifest.json")["metrics_revision"] == METRICS_REVISION
+    assert "e2_se" in io.read_json(out / "seed_0" / "metrics_a0.json")
+    assert _pipeline(cfg) == EXIT_OK
+    assert "up to date" in capsys.readouterr().out
+    assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+    _assert_same_run(out, out.parent / "fresh")
+
+
+def test_every_error_type_pickles_with_its_fields():
+    # A worker process hands its failure to the parent pickled.
+    import inspect
+    import pickle
+
+    from rcdiff import errors
+    from rcdiff.pipeline import PipelineStageError
+
+    diverged = errors.TrainingDivergedError(7, [1.5, 0.25])
+    examples = [errors.RcdiffError("base"), errors.ValidationError("rank deficient"),
+                errors.ConfigError("unknown key"), diverged,
+                errors.SamplerDivergedError(3, 2.0), PipelineStageError("seed1.train", diverged)]
+    defined = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__}
+    assert {type(e) for e in examples} == defined | {PipelineStageError}
+
+    def fields(error):
+        return type(error), str(error), {
+            k: fields(v) if isinstance(v, BaseException) else v for k, v in vars(error).items()}
+    for error in examples:
+        assert fields(pickle.loads(pickle.dumps(error))) == fields(error)
+
+
+def _set_workers(monkeypatch, count):
+    """Give the runs that follow ``count`` (1 or 2) worker processes, as on
+    a two-CPU host with the BLAS thread variables unset or pinned to one."""
+    from rcdiff import pipeline
+
+    for key in pipeline.THREAD_ENV:
+        monkeypatch.delenv(key, raising=False)
+    if count == 2:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("env, seeds, thread, expected", [
+    ({}, 3, False, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3, False, 2),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 3, False, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 3, False, 1),
+    ({"OPENBLAS_NUM_THREADS": ""}, 3, False, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3, True, 1),
+], ids=["unset", "pinned", "pinned-by-two", "one-unpinned", "empty", "one-seed", "threaded"])
+def test_worker_count_rule(monkeypatch, env, seeds, thread, expected):
+    import threading
+
+    from rcdiff import pipeline
+
+    _set_workers(monkeypatch, 1)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if thread:
+        other.start()
+    try:
+        assert pipeline._worker_count(seeds) == expected
+    finally:
+        release.set()
+        if thread:
+            other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """The pids of the worker processes that runs fork during the test."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    """No worker process outlives the run that forked it."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("variant", ["covering", "oracle"])
+def test_two_workers_write_the_bytes_of_one(smoke_cfg, variant, monkeypatch, forked):
+    from rcdiff.config import load_config
+    from rcdiff.pipeline import run_pipeline
+
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1, 2")
+                   + f"score.variant = {variant}\n")
+    runs = {}
+    for count in (1, 2):
+        _set_workers(monkeypatch, count)
+        logs = []
+        run_pipeline(load_config(cfg), out / str(count), force=True, log=logs.append)
+        _assert_reaped(forked)
+        assert len(forked) == count - 1
+        manifest = io.read_json(out / str(count) / "manifest.json")
+        assert manifest["host"]["workers"] == count
+        assert set(manifest["timings_s"]) == {
+            f"seed{s}.{stage}" for s in range(3) for stage in
+            ["world", "data", "ridge", "sample", "metrics.a0", "metrics.a2"]
+            + (["pseudo", "train"] if variant == "covering" else [])}
+        runs[count] = [{k: v for k, v in manifest.items() if k not in ("timings_s", "host")},
+                       logs[:-1]]  # the last message names the output directory
+    assert runs[1] == runs[2]
+    for count in (1, 2):
+        on_disk = {p.relative_to(out / str(count)).as_posix()
+                   for p in (out / str(count)).rglob("*") if p.is_file()}
+        assert on_disk == set(runs[1][0]["files"]) | {"manifest.json"}
+        assert _hash_clean(out / str(count))
+
+
+def test_failed_stage_of_a_workers_seed_is_reported_as_in_one_process(
+        smoke_cfg, monkeypatch, forked, capsys):
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1")
+                   + "score.variant = covering\n")
+    (out / "seed_1" / "world.rctb").mkdir(parents=True)
+    errs = []
+    for count in (1, 2):
+        _set_workers(monkeypatch, count)
+        assert _pipeline(cfg) == EXIT_COMPUTE
+        _assert_reaped(forked)
+        assert len(forked) == count - 1
+        errs.append(capsys.readouterr().err)
+        manifest = io.read_json(out / "manifest.json")
+        assert manifest["complete"] is False and set(manifest["training"]) == {"0"}
+    assert "compute error in stage 'seed1.world': [Errno 21] Is a directory" in errs[0]
+    assert errs[1] == errs[0]
+
+
+def test_interrupt_in_a_workers_seed_keeps_the_finished_models(smoke_cfg, monkeypatch,
+                                                               forked, capsys):
+    from rcdiff import pipeline
+
+    cfg, out = smoke_cfg
+    cfg.write_text(cfg.read_text().replace("sweep.seeds = 0", "sweep.seeds = 0, 1, 2, 3")
+                   + "score.variant = covering\n")
+    _set_workers(monkeypatch, 2)
+    train = pipeline.train
+
+    def interrupted_at_seed_1(score, curated, config, schedule):
+        if config.seed == 1:
+            raise KeyboardInterrupt
+        return train(score, curated, config, schedule)
+    monkeypatch.setattr(pipeline, "train", interrupted_at_seed_1)
+    with pytest.raises(KeyboardInterrupt):
+        _pipeline(cfg)
+    _assert_reaped(forked)
+    assert len(forked) == 1
+    # This process ran seeds 0 and 2; the worker stopped at seed 1, before 3.
+    manifest = io.read_json(out / "manifest.json")
+    assert manifest["complete"] is False and set(manifest["training"]) == {"0", "2"}
+    monkeypatch.setattr(pipeline, "train", train)
+    capsys.readouterr()
+    assert _pipeline(cfg) == EXIT_OK
+    log = capsys.readouterr().out
+    assert [line[:15] for line in log.splitlines() if " a=" not in line][:4] == [
+        "seed 0: reusing", "seed 1: trained", "seed 2: reusing", "seed 3: trained"]
+    assert _pipeline(cfg, "--force", "--out", str(out.parent / "fresh")) == EXIT_OK
+    _assert_same_run(out, out.parent / "fresh")
 
 
 @pytest.mark.parametrize("variant", ["mlp", "covering"])
@@ -680,8 +886,10 @@ class TestModelReuse:
         train, calls = pipeline.train, []
 
         def interrupted_at_second_seed(*args, **kwargs):
+            # Keyed on the seed, not on a count in this process: the seed
+            # may run in a worker process.
             calls.append(args)
-            if len(calls) == 2:
+            if args[2].seed == 1:
                 raise KeyboardInterrupt
             return train(*args, **kwargs)
         monkeypatch.setattr(pipeline, "train", interrupted_at_second_seed)
